@@ -1964,6 +1964,9 @@ pub struct EmstSweepRow {
     pub exe: f64,
     /// Communication time (simulated seconds, paper scale).
     pub comm: f64,
+    /// Host wall-clock of this engine's run, in milliseconds (the oracle
+    /// checks around it are not included).
+    pub wall_ms: u64,
 }
 
 /// One device-calibration row of the emst sweep: where the occupancy
@@ -2124,7 +2127,9 @@ pub fn emst_sweep(ctx: &ExpContext, nranks: usize) -> EmstSweep {
         };
         let mut forests: Vec<(&'static str, mnd_kernels::msf::MsfResult)> = Vec::new();
         for engine in engines_for(ctx, nranks) {
+            let t = std::time::Instant::now();
             let r = engine.run(&el);
+            let wall_ms = t.elapsed().as_millis() as u64;
             if let Some(o) = &oracle {
                 assert_eq!(
                     &r.msf,
@@ -2153,6 +2158,7 @@ pub fn emst_sweep(ctx: &ExpContext, nranks: usize) -> EmstSweep {
                 k,
                 exe: r.total_time,
                 comm: r.comm_time,
+                wall_ms,
             });
             forests.push((engine.name(), r.msf));
         }

@@ -19,17 +19,17 @@
 //! holdings reference `old` (each edge is held by the resident ranks of
 //! both endpoints; see DESIGN.md).
 
-use std::collections::HashMap;
-
 use mnd_graph::partition::{owner_of, VertexRange};
 use mnd_kernels::cgraph::{CGraph, CompId};
+use mnd_kernels::idhash::{IdMap, IdSet};
+use mnd_kernels::lockfree::SlotLookup;
 
 /// Component → resident rank map.
 #[derive(Clone, Debug, Default)]
 pub struct GhostDirectory {
     ranges: Vec<VertexRange>,
     /// Overrides of the range-derived owner (components that moved).
-    moved: HashMap<CompId, u32>,
+    moved: IdMap<CompId, u32>,
 }
 
 impl GhostDirectory {
@@ -37,7 +37,7 @@ impl GhostDirectory {
     pub fn from_ranges(ranges: Vec<VertexRange>) -> Self {
         GhostDirectory {
             ranges,
-            moved: HashMap::new(),
+            moved: IdMap::default(),
         }
     }
 
@@ -88,7 +88,18 @@ impl GhostDirectory {
 /// pair `(old, new)` goes to every distinct owner of a ghost component
 /// adjacent to `old` in `cg` (after the relabel was applied locally, `old`
 /// endpoints have already been renamed to `new`, so adjacency is probed via
-/// `new`).
+/// `new`). `relabels` is normalised (sorted, deduplicated) as
+/// [`ghost_parent_message`](mnd_kernels::reduce::ghost_parent_message)
+/// leaves it.
+///
+/// **The emission order is part of the wire contract.** The buckets go
+/// through the phased exchange, whose codec encodes fixed-size chunks of
+/// each bucket separately, so reordering pairs changes the bytes on the
+/// wire and with them the simulated clock. The order is first sighting in
+/// one sweep over the edge rows in storage order, `a` end before `b` end:
+/// the first time a renamed `new` is seen next to a ghost of owner `r`,
+/// all of `new`'s `(old, new)` pairs are appended to bucket `r`, olds
+/// ascending.
 ///
 /// Returns `nranks` buckets (the own-rank bucket stays empty).
 pub fn relabel_buckets(
@@ -98,35 +109,48 @@ pub fn relabel_buckets(
     my_rank: usize,
     nranks: usize,
 ) -> Vec<Vec<(CompId, CompId)>> {
+    debug_assert!(
+        relabels.windows(2).all(|w| w[0] < w[1]),
+        "relabels must be normalised"
+    );
     let mut buckets: Vec<Vec<(CompId, CompId)>> = (0..nranks).map(|_| Vec::new()).collect();
     if relabels.is_empty() {
         return buckets;
     }
-    // new id -> list of old ids that became it.
-    let mut renames_into: HashMap<CompId, Vec<CompId>> = HashMap::new();
-    for &(old, new) in relabels {
-        renames_into.entry(new).or_default().push(old);
+    // `(new, old)` sorted, so every `new` owns one run of its olds.
+    let mut by_new: Vec<(CompId, CompId)> = relabels.iter().map(|&(o, n)| (n, o)).collect();
+    by_new.sort_unstable();
+    let runs_len = 1 + by_new.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    let mut runs: IdMap<CompId, (u32, u32)> =
+        IdMap::with_capacity_and_hasher(runs_len, Default::default());
+    for (i, &(new, _)) in by_new.iter().enumerate() {
+        runs.entry(new)
+            .and_modify(|run| run.1 = i as u32 + 1)
+            .or_insert((i as u32, i as u32 + 1));
     }
-    // For every edge touching a renamed component, the ghost endpoint's
-    // owner needs all (old, new) pairs of that component.
-    let mut seen: std::collections::HashSet<(u32, CompId, CompId)> =
-        std::collections::HashSet::new();
-    for e in cg.iter_edges() {
-        for (this_end, other_end) in [(e.a, e.b), (e.b, e.a)] {
-            let Some(olds) = renames_into.get(&this_end) else {
+    let resident = SlotLookup::new(cg.resident());
+    // `(owner << 32) | new` already sent: each old maps to exactly one new,
+    // so this is the `(owner, old)` dedupe.
+    let mut seen: IdSet<u64> = IdSet::default();
+    let (ea, eb) = cg.endpoint_cols();
+    for (&a, &b) in ea.iter().zip(eb) {
+        for (this_end, other_end) in [(a, b), (b, a)] {
+            let Some(&(lo, hi)) = runs.get(&this_end) else {
                 continue;
             };
-            if cg.is_resident(other_end) {
+            if resident.contains(other_end) {
                 continue; // neighbour lives here: already renamed locally
             }
             let owner = dir.owner(other_end);
             if owner as usize == my_rank {
                 continue;
             }
-            for &old in olds {
-                if seen.insert((owner, old, this_end)) {
-                    buckets[owner as usize].push((old, this_end));
-                }
+            if seen.insert(((owner as u64) << 32) | this_end as u64) {
+                buckets[owner as usize].extend(
+                    by_new[lo as usize..hi as usize]
+                        .iter()
+                        .map(|&(n, o)| (o, n)),
+                );
             }
         }
     }
@@ -207,10 +231,8 @@ mod tests {
             vec![],
         );
         let d = GhostDirectory::from_ranges(ranges4());
-        let buckets = relabel_buckets(&cg, &[(5, 0), (3, 0)], &d, 0, 4);
-        let mut b1 = buckets[1].clone();
-        b1.sort_unstable();
-        assert_eq!(b1, vec![(3, 0), (5, 0)]);
+        let buckets = relabel_buckets(&cg, &[(3, 0), (5, 0)], &d, 0, 4);
+        assert_eq!(buckets[1], vec![(3, 0), (5, 0)]);
     }
 
     #[test]
@@ -219,5 +241,126 @@ mod tests {
         let d = GhostDirectory::from_ranges(ranges4());
         let buckets = relabel_buckets(&cg, &[], &d, 0, 4);
         assert!(buckets.iter().all(|b| b.is_empty()));
+    }
+
+    /// The hash-set bucket builder `relabel_buckets` replaced, kept as the
+    /// oracle: `HashMap<new, Vec<old>>` plus a `HashSet<(owner, old, new)>`
+    /// dedupe, emitting in first-sighting order.
+    fn hashset_relabel_buckets(
+        cg: &CGraph,
+        relabels: &[(CompId, CompId)],
+        dir: &GhostDirectory,
+        my_rank: usize,
+        nranks: usize,
+    ) -> Vec<Vec<(CompId, CompId)>> {
+        use std::collections::{HashMap, HashSet};
+        let mut buckets: Vec<Vec<(CompId, CompId)>> = (0..nranks).map(|_| Vec::new()).collect();
+        let mut renames_into: HashMap<CompId, Vec<CompId>> = HashMap::new();
+        for &(old, new) in relabels {
+            renames_into.entry(new).or_default().push(old);
+        }
+        let mut seen: HashSet<(u32, CompId, CompId)> = HashSet::new();
+        for e in cg.iter_edges() {
+            for (this_end, other_end) in [(e.a, e.b), (e.b, e.a)] {
+                let Some(olds) = renames_into.get(&this_end) else {
+                    continue;
+                };
+                if cg.is_resident(other_end) {
+                    continue;
+                }
+                let owner = dir.owner(other_end);
+                if owner as usize == my_rank {
+                    continue;
+                }
+                for &old in olds {
+                    if seen.insert((owner, old, this_end)) {
+                        buckets[owner as usize].push((old, this_end));
+                    }
+                }
+            }
+        }
+        buckets
+    }
+
+    /// splitmix64: a self-contained deterministic stream for the cases.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn buckets_equal_the_hashset_oracle_order_included() {
+        let mut rng = 0x5eed_u64;
+        let mut emitted = 0;
+        for case in 0..300 {
+            let nranks = 2 + (next(&mut rng) % 7) as usize;
+            let width = 8 + (next(&mut rng) % 56) as u32;
+            let ranges: Vec<VertexRange> = (0..nranks as u32)
+                .map(|i| VertexRange {
+                    start: i * width,
+                    end: (i + 1) * width,
+                })
+                .collect();
+            let n = nranks as u32 * width;
+            let me = (next(&mut rng) % nranks as u64) as usize;
+            let mut dir = GhostDirectory::from_ranges(ranges.clone());
+            // Moved-component overrides, some onto this rank.
+            let moves: Vec<(CompId, u32)> = (0..next(&mut rng) % 12)
+                .map(|_| {
+                    let c = (next(&mut rng) % n as u64) as u32;
+                    (c, (next(&mut rng) % nranks as u64) as u32)
+                })
+                .collect();
+            dir.apply_moves(&moves);
+            let mine = ranges[me];
+            let resident: Vec<CompId> = mine
+                .iter()
+                .filter(|_| !next(&mut rng).is_multiple_of(3))
+                .collect();
+            // Renames into a few targets, several olds each; the olds are
+            // ids that no longer exist anywhere. Targets are resident as
+            // in a real round, plus two ghosts of one peer joined by a row,
+            // so that both ends of a row match and the `a`-before-`b` order
+            // is pinned too.
+            let peer = ranges[(me + 1) % nranks];
+            let ghosts = [
+                peer.start,
+                peer.start + 1 + (next(&mut rng) % (width - 1) as u64) as u32,
+            ];
+            let mut targets: Vec<CompId> = resident.iter().copied().step_by(3).collect();
+            targets.extend(ghosts);
+            let mut relabels: Vec<(CompId, CompId)> = Vec::new();
+            for old in mine.iter().filter(|c| !resident.contains(c)) {
+                if !next(&mut rng).is_multiple_of(4) {
+                    let new = targets[(next(&mut rng) % targets.len() as u64) as usize];
+                    relabels.push((old, new));
+                }
+            }
+            // Edges: resident-resident, resident-ghost and ghost-ghost.
+            let mut edges: Vec<CEdge> = (0..next(&mut rng) % 200)
+                .map(|i| {
+                    let pick = |rng: &mut u64| {
+                        if next(rng).is_multiple_of(2) && !resident.is_empty() {
+                            resident[(next(rng) % resident.len() as u64) as usize]
+                        } else {
+                            (next(rng) % n as u64) as u32
+                        }
+                    };
+                    let (a, b) = (pick(&mut rng), pick(&mut rng));
+                    let i = i as u32;
+                    CEdge::new(a, b, WEdge::new(i, i + 1, (next(&mut rng) % 50) as u32))
+                })
+                .collect();
+            edges.push(CEdge::new(ghosts[0], ghosts[1], WEdge::new(900, 901, 1)));
+            let cg = CGraph::from_parts(resident, edges, vec![]);
+            let got = relabel_buckets(&cg, &relabels, &dir, me, nranks);
+            let want = hashset_relabel_buckets(&cg, &relabels, &dir, me, nranks);
+            assert_eq!(got, want, "case {case}");
+            emitted += got.iter().map(Vec::len).sum::<usize>();
+        }
+        assert!(emitted > 1000, "cases too sparse: {emitted} pairs emitted");
     }
 }

@@ -50,16 +50,59 @@ impl Phase for MergeParts {
                 comm.alltoallv_phased_with(buckets, cx.runner.ghost_phase_size, exchange_mode(cfg))
             };
             cx.dir.apply_relabels(&relabel);
-            for pairs in &received {
-                if !pairs.is_empty() {
-                    apply_ghost_parents_with(&mut cx.cg, &policy, pairs);
-                    cx.dir.apply_relabels(pairs);
-                }
-            }
+            // One sweep for all peers: each old id is resident on exactly
+            // one sender and each new id on its sender, so the buckets'
+            // olds are disjoint and no rename chains across buckets.
+            debug_assert!(
+                single_sweep_holds(&received),
+                "rank {}: received ghost-parent buckets overlap or chain",
+                comm.rank()
+            );
+            let pairs = received.concat();
+            drop(received);
+            apply_ghost_parents_with(&mut cx.cg, &policy, &pairs);
+            cx.dir.apply_relabels(&pairs);
 
             // Reduce: self-edge removal + multi-edge removal, in place.
             let stats = reduce_holding_with(&mut cx.cg, &policy);
             comm.compute(cx.runner.sweep_seconds(stats.edges_before));
         });
+    }
+}
+
+/// The preconditions of applying every received bucket in one sweep: no
+/// `old` id arrives in two buckets, and no received `new` id is itself
+/// renamed this round.
+fn single_sweep_holds(buckets: &[Vec<(CompId, CompId)>]) -> bool {
+    let mut olds = std::collections::HashMap::new();
+    for (src, pairs) in buckets.iter().enumerate() {
+        for &(old, _) in pairs {
+            if *olds.entry(old).or_insert(src) != src {
+                return false;
+            }
+        }
+    }
+    buckets
+        .iter()
+        .flatten()
+        .all(|(_, new)| !olds.contains_key(new))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::single_sweep_holds;
+
+    #[test]
+    fn single_sweep_preconditions() {
+        // Disjoint olds, news not renamed, a repeat within one bucket.
+        assert!(single_sweep_holds(&[
+            vec![],
+            vec![(3, 1), (4, 1), (3, 1)],
+            vec![(9, 7)]
+        ]));
+        // Old 3 arrives from two peers.
+        assert!(!single_sweep_holds(&[vec![(3, 1)], vec![(3, 2)]]));
+        // New 7 is itself renamed by another peer: a chain.
+        assert!(!single_sweep_holds(&[vec![(9, 7)], vec![(7, 5)]]));
     }
 }

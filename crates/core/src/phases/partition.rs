@@ -6,6 +6,7 @@ use mnd_hypar::api::part_graph;
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::{CGraph, CompId};
 use mnd_kernels::filter::filter_holding;
+use mnd_kernels::lockfree::SlotLookup;
 use mnd_wire::PackedIds;
 
 use crate::ghost::GhostDirectory;
@@ -86,9 +87,11 @@ impl Phase for Partition {
             // is performed for its (phased) communication cost, like the
             // paper's.
             let mut buckets: Vec<Vec<CompId>> = (0..p).map(|_| Vec::new()).collect();
-            for e in cx.cg.iter_edges() {
-                for (mine, ghost) in [(e.a, e.b), (e.b, e.a)] {
-                    if cx.cg.is_resident(mine) && !cx.cg.is_resident(ghost) {
+            let resident = SlotLookup::new(cx.cg.resident());
+            let (ea, eb) = cx.cg.endpoint_cols();
+            for (&a, &b) in ea.iter().zip(eb) {
+                for (mine, ghost) in [(a, b), (b, a)] {
+                    if resident.contains(mine) && !resident.contains(ghost) {
                         let owner = cx.dir.owner(ghost) as usize;
                         if owner != me {
                             buckets[owner].push(mine);

@@ -40,6 +40,7 @@ use mnd_graph::{CsrGraph, EdgeList};
 use mnd_wire::Wire;
 use rayon::prelude::*;
 
+use crate::idhash::id_hash;
 use crate::lockfree::{as_atomic_u64, SlotLookup};
 use crate::policy::{KernelClass, KernelPolicy, ParVariant};
 
@@ -126,6 +127,53 @@ impl std::fmt::Debug for CEdge {
 
 /// Sentinel marking an already-placed slot during in-place permutation.
 const PLACED: u32 = u32::MAX;
+
+/// Empty slot of the multi-edge hash-min table (row indices stay below it).
+const NO_ROW: u32 = u32::MAX;
+
+/// Renames a sorted id column through `map`, re-sorting and deduplicating.
+fn remap_ids(ids: &mut Vec<CompId>, map: &impl Fn(CompId) -> CompId) {
+    for c in ids.iter_mut() {
+        *c = map(*c);
+    }
+    ids.sort_unstable();
+    ids.dedup();
+}
+
+/// Rewrites every row's endpoints through `map`, keeping the per-row
+/// canonical `a <= b`. Chunked across rayon workers above the policy's
+/// `Relabel` crossover; rows are independent, so any chunking produces the
+/// sequential result.
+fn remap_rows_with(
+    policy: &KernelPolicy,
+    ea: &mut [CompId],
+    eb: &mut [CompId],
+    map: &(impl Fn(CompId) -> CompId + Sync),
+) {
+    let remap_rows = |ca: &mut [CompId], cb: &mut [CompId]| {
+        for (a, b) in ca.iter_mut().zip(cb.iter_mut()) {
+            let na = map(*a);
+            let nb = map(*b);
+            if na <= nb {
+                *a = na;
+                *b = nb;
+            } else {
+                *a = nb;
+                *b = na;
+            }
+        }
+    };
+    if policy.use_par_for(KernelClass::Relabel, ea.len()) {
+        let chunk = policy.chunk_rows.max(1);
+        let pairs: Vec<(&mut [CompId], &mut [CompId])> =
+            ea.chunks_mut(chunk).zip(eb.chunks_mut(chunk)).collect();
+        pairs
+            .into_par_iter()
+            .for_each(|(ca, cb)| remap_rows(ca, cb));
+    } else {
+        remap_rows(ea, eb);
+    }
+}
 
 /// A processor's current holding: resident components and the edges it
 /// knows about (SoA columns).
@@ -334,43 +382,29 @@ impl CGraph {
     /// workers when the policy says the holding is big enough. Rows are
     /// independent, so any chunking produces the sequential result.
     pub fn relabel_with(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
-        let remap_rows = |ca: &mut [CompId], cb: &mut [CompId]| {
-            for (a, b) in ca.iter_mut().zip(cb.iter_mut()) {
-                let na = map(*a);
-                let nb = map(*b);
-                // Keep the per-row canonical a <= b invariant.
-                if na <= nb {
-                    *a = na;
-                    *b = nb;
-                } else {
-                    *a = nb;
-                    *b = na;
-                }
-            }
+        remap_rows_with(policy, &mut self.ea, &mut self.eb, &map);
+        remap_ids(&mut self.resident, &map);
+        remap_ids(&mut self.frozen, &map);
+    }
+
+    /// Renames *ghost* endpoints: every non-resident endpoint `c` with
+    /// `rename(c) == Some(new)` becomes `new`; resident endpoints stay as
+    /// they are, so the resident column is untouched. Equivalent to
+    /// [`CGraph::relabel_with`] under the map "resident ids fixed, else
+    /// `rename` or identity", but `rename` is probed first and residency
+    /// (an O(1) [`SlotLookup`] probe on dense holdings) only on a hit.
+    pub(crate) fn relabel_ghosts_with(
+        &mut self,
+        policy: &KernelPolicy,
+        rename: impl Fn(CompId) -> Option<CompId> + Sync,
+    ) {
+        let resident = SlotLookup::new(&self.resident);
+        let map = |c: CompId| match rename(c) {
+            Some(new) if !resident.contains(c) => new,
+            _ => c,
         };
-        if policy.use_par_for(KernelClass::Relabel, self.ea.len()) {
-            let chunk = policy.chunk_rows.max(1);
-            let pairs: Vec<(&mut [CompId], &mut [CompId])> = self
-                .ea
-                .chunks_mut(chunk)
-                .zip(self.eb.chunks_mut(chunk))
-                .collect();
-            pairs
-                .into_par_iter()
-                .for_each(|(ca, cb)| remap_rows(ca, cb));
-        } else {
-            remap_rows(&mut self.ea, &mut self.eb);
-        }
-        for r in &mut self.resident {
-            *r = map(*r);
-        }
-        self.resident.sort_unstable();
-        self.resident.dedup();
-        for f in &mut self.frozen {
-            *f = map(*f);
-        }
-        self.frozen.sort_unstable();
-        self.frozen.dedup();
+        remap_rows_with(policy, &mut self.ea, &mut self.eb, &map);
+        remap_ids(&mut self.frozen, &map);
     }
 
     /// In-place column compaction: keeps row `i` iff `keep(i)`, preserving
@@ -503,31 +537,86 @@ impl CGraph {
     }
 
     /// Keeps only the lightest edge between every component pair — the
-    /// paper's `removeMultiEdges` (§3.3). In place: rows are co-sorted by
-    /// `(a, b, orig key)` through the index scratch, each `(a, b)` run is
-    /// compacted to its first (= lightest) row, then canonical order is
-    /// restored. Equivalent to the hash-table-of-minimums the paper
-    /// describes, without the table.
+    /// paper's `removeMultiEdges` (§3.3) — as a hash table of per-pair
+    /// minimums: one pass records the minimum-`(w, u, v)` row of every
+    /// packed `(a << 32) | b` pair (the first such row on exact ties), the
+    /// winners are compacted in storage order through a bitmap, and the
+    /// survivors are sorted into canonical `(key, a, b)` order only if they
+    /// are not in it already. Table and bitmap live in the holding's
+    /// reusable scratch (4 bytes a table slot), which a holding keeps
+    /// across rounds: allocating a fresh table per call made peak RSS
+    /// creep from run to run under glibc's allocator.
     pub fn remove_multi_edges(&mut self) {
         self.remove_multi_edges_with(&KernelPolicy::default());
     }
 
-    /// Policy-aware [`CGraph::remove_multi_edges`].
+    /// Policy-aware [`CGraph::remove_multi_edges`]: the compaction and the
+    /// (rare) final sort follow the policy's `Reduce` crossover; the
+    /// hash-min pass itself is one sequential sweep.
     pub fn remove_multi_edges_with(&mut self, policy: &KernelPolicy) {
         debug_assert!(
             self.ea.iter().zip(&self.eb).all(|(a, b)| a != b),
             "run remove_self_edges first"
         );
-        self.sort_rows_by_key(policy, |cg, i| (cg.ea[i], cg.eb[i], cg.eorig[i].key()));
-        self.retain_rows_with(policy, |cg, i| {
-            i == 0 || cg.ea[i] != cg.ea[i - 1] || cg.eb[i] != cg.eb[i - 1]
-        });
-        self.sort_edges_with(policy);
+        let n = self.ea.len();
+        // Table (at most 3/4 full) and keep-bitmap share the scratch, so
+        // holdings reuse one buffer across rounds instead of allocating.
+        let cap = (n + n / 3 + 1).next_power_of_two();
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.resize(cap + n.div_ceil(32), NO_ROW);
+        let (table, keep) = buf.split_at_mut(cap);
+        if self.lightest_row_per_pair(table) < n {
+            keep.fill(0);
+            for &row in table.iter().filter(|&&r| r != NO_ROW) {
+                keep[(row / 32) as usize] |= 1 << (row % 32);
+            }
+            self.retain_rows_with(policy, |_, i| keep[i / 32] >> (i % 32) & 1 != 0);
+        }
+        self.scratch = buf;
+        // Canonical order is by key; the pair breaks key ties (two rows
+        // holding the same original edge), as a `(a, b, key)` co-sort
+        // followed by a stable key sort would.
+        let sort_key = |cg: &Self, i: usize| (cg.eorig[i].key(), cg.ea[i], cg.eb[i]);
+        if !(1..self.ea.len()).all(|i| sort_key(self, i - 1) <= sort_key(self, i)) {
+            self.sort_rows_by_key(policy, sort_key);
+        }
+    }
+
+    /// The hash-min pass of [`CGraph::remove_multi_edges_with`]: fills
+    /// `table` (a power of two long, all [`NO_ROW`], with room for every
+    /// row) as an open-addressing table keyed by each row's packed
+    /// `(a << 32) | b` pair, probed linearly, until every pair's slot
+    /// holds its minimum-`(w, u, v)` row — the first such row on exact
+    /// ties. A slot is a bare row index; pair and key are read back from
+    /// the columns. Returns the number of pairs (= survivors).
+    fn lightest_row_per_pair(&self, table: &mut [u32]) -> usize {
+        let pair = |r: u32| ((self.ea[r as usize] as u64) << 32) | self.eb[r as usize] as u64;
+        let mask = table.len() - 1;
+        let mut pairs = 0usize;
+        for i in 0..self.ea.len() as u32 {
+            let p = pair(i);
+            let mut s = id_hash(p) as usize & mask;
+            while table[s] != NO_ROW && pair(table[s]) != p {
+                s = (s + 1) & mask;
+            }
+            match table[s] {
+                NO_ROW => {
+                    table[s] = i;
+                    pairs += 1;
+                }
+                r if self.eorig[i as usize].key() < self.eorig[r as usize].key() => table[s] = i,
+                _ => {}
+            }
+        }
+        pairs
     }
 
     /// Removes duplicate holdings of the *same original edge* (arises when
     /// a moved segment recombines with a holding that kept a boundary copy).
-    /// In place, same sort-compact-restore scheme as multi-edge removal.
+    /// In place: rows are co-sorted by `(u, v, a, b)` through the index
+    /// scratch, each original-edge run is compacted to its first row, then
+    /// canonical order is restored.
     pub fn dedup_edges(&mut self) {
         self.dedup_edges_with(&KernelPolicy::default());
     }

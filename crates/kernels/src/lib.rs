@@ -17,6 +17,8 @@
 //! * [`parallel`] — the data-driven worklist variant with concurrent
 //!   min-edge election (the CPU kernel of §3.5, rayon-backed),
 //! * [`reduce`] — self-edge and multi-edge removal (§3.3),
+//! * [`idhash`] — the cheap multiplicative hasher the contraction step's
+//!   id-keyed maps use,
 //! * [`scan`] — the standalone min-edge election over the holding's SoA
 //!   columns, sequential and rayon-chunked,
 //! * [`binning`] — degree-binned adjacency scheduling (the "hierarchical
@@ -31,6 +33,7 @@ pub mod contraction;
 pub mod dsu;
 pub mod filter;
 pub mod filter_kruskal;
+pub mod idhash;
 pub mod lockfree;
 pub mod msf;
 pub mod oracle;

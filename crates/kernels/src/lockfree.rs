@@ -77,11 +77,13 @@ fn precedes(a: u64, b: u64, orig_of: &impl Fn(u32) -> WEdge) -> bool {
     (orig_of(ra), ra) < (orig_of(rb), rb)
 }
 
-/// Resident-slot lookup for the lock-free sweeps. The sequential kernels
-/// binary-search `resident` per endpoint (~17 branchy probes at 10⁵
-/// components); holdings keep their resident ids nearly contiguous (level-0
-/// partitions are vertex ranges), so a direct-index table over the id range
-/// answers in O(1). Sparse id ranges fall back to the binary search.
+/// Resident-slot lookup for the lock-free sweeps and the contraction step's
+/// residency probes. A binary search over `resident` costs ~17 branchy
+/// probes per endpoint at 10⁵ components; holdings keep their resident ids
+/// nearly contiguous (level-0 partitions are vertex ranges), so a
+/// direct-index table over the id range answers in O(1). Sparse id ranges
+/// fall back to the binary search, which bounds the table at 4× the
+/// resident count.
 pub struct SlotLookup<'a> {
     resident: &'a [CompId],
     /// `(lowest id, table)`: `table[c - lowest]` is the slot of component
@@ -111,6 +113,12 @@ impl<'a> SlotLookup<'a> {
             _ => None,
         };
         SlotLookup { resident, dense }
+    }
+
+    /// True if component `c` is resident.
+    #[inline]
+    pub fn contains(&self, c: CompId) -> bool {
+        self.get(c).is_some()
     }
 
     /// The resident slot of component `c`, if resident.

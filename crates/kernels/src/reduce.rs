@@ -7,12 +7,16 @@
 //! endpoints of a holding, after which multi-edge removal can collapse
 //! parallel inter-component edges correctly even across processor borders.
 //!
-//! All reductions run **in place** on the holding's SoA columns: removal
-//! compacts with a write cursor and ordering goes through the holding's
-//! reusable permutation scratch, so a reduce pass allocates nothing
-//! proportional to the edge count.
+//! All reductions run **in place** on the holding's SoA columns. Self-edge
+//! removal compacts with a write cursor. Multi-edge removal is the paper's
+//! hash table of per-pair minimums: one pass over the rows into a table of
+//! row indices, a compaction in storage order through a bitmap, and a key
+//! sort only when the survivors are out of order. Table and bitmap live in
+//! the holding's reusable scratch, so a reduce pass is linear in the rows
+//! and allocates only when a holding outgrows its scratch.
 
 use crate::cgraph::{CGraph, CompId};
+use crate::idhash::IdMap;
 use crate::policy::KernelPolicy;
 
 /// Summary of one reduction pass (reported to the cost model; the paper
@@ -37,7 +41,7 @@ pub fn reduce_holding(cg: &mut CGraph) -> ReduceStats {
 
 /// As [`reduce_holding`], under an explicit (typically calibrated)
 /// [`KernelPolicy`]: above the crossover the compactions evaluate their
-/// predicates over row chunks on rayon workers and the ordering passes use
+/// predicates over row chunks on rayon workers and a needed final sort uses
 /// the parallel permutation sort. Oracle-identical for any chunking.
 pub fn reduce_holding_with(cg: &mut CGraph, policy: &KernelPolicy) -> ReduceStats {
     let before = cg.num_edges() as u64;
@@ -75,6 +79,12 @@ pub fn apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
 /// As [`apply_ghost_parents`], with the endpoint relabel sweep chunked
 /// across rayon workers above the policy crossover (rows are independent,
 /// so any chunking produces the sequential result).
+///
+/// One call is one sweep of the holding, however many peers the pairs came
+/// from: the driver concatenates every received bucket into `updates`.
+/// Each `old` id appears once (were it repeated, the last pair would win)
+/// and no `new` id is itself an `old` id: renames are applied once, never
+/// chained.
 pub fn apply_ghost_parents_with(
     cg: &mut CGraph,
     policy: &KernelPolicy,
@@ -83,16 +93,10 @@ pub fn apply_ghost_parents_with(
     if updates.is_empty() {
         return;
     }
-    let map: std::collections::HashMap<CompId, CompId> = updates.iter().copied().collect();
-    let resident: Vec<CompId> = cg.resident().to_vec();
-    let is_res = |c: CompId| resident.binary_search(&c).is_ok();
-    cg.relabel_with(policy, |c| {
-        if is_res(c) {
-            c
-        } else {
-            *map.get(&c).unwrap_or(&c)
-        }
-    });
+    let mut map: IdMap<CompId, CompId> =
+        IdMap::with_capacity_and_hasher(updates.len(), Default::default());
+    map.extend(updates.iter().copied());
+    cg.relabel_ghosts_with(policy, |c| map.get(&c).copied());
 }
 
 #[cfg(test)]

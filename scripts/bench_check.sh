@@ -204,7 +204,7 @@ done < <(
 echo
 echo "==> host wall-clock (informational, not gated)"
 jq -r '
-  .end_to_end[] | "\(.graph) nodes=\(.nodes): \(.wall_ms) ms"
+  .end_to_end[] | select(has("wall_ms")) | "\(.graph) nodes=\(.nodes): \(.wall_ms) ms"
 ' "$FRESH"
 
 if [[ "$FAIL" -ne 0 ]]; then
