@@ -11,8 +11,7 @@ use mnd_graph::{gen, CsrGraph};
 use mnd_kernels::boruvka::boruvka_msf;
 use mnd_kernels::cgraph::CGraph;
 use mnd_kernels::oracle::kruskal_msf;
-use mnd_kernels::parallel::par_boruvka_msf;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd_kernels::{local_boruvka, DisjointSets};
 
 /// MST algorithms head to head on an arabic-2005 stand-in (§3.2/§3.5
@@ -27,11 +26,7 @@ fn bench_mst_kernels(c: &mut Criterion) {
     g.bench_function("filter_kruskal", |b| {
         b.iter(|| mnd_kernels::filter_kruskal_msf(&el))
     });
-    g.bench_function("boruvka_seq", |b| b.iter(|| boruvka_msf(&el)));
-    g.bench_function("boruvka_contraction", |b| {
-        b.iter(|| mnd_kernels::contraction_boruvka_msf(&el))
-    });
-    g.bench_function("boruvka_par_worklist", |b| b.iter(|| par_boruvka_msf(&el)));
+    g.bench_function("boruvka", |b| b.iter(|| boruvka_msf(&el)));
     g.finish();
 }
 
@@ -86,89 +81,29 @@ fn bench_reductions(c: &mut Criterion) {
     grp.finish();
 }
 
-/// The parallel holding plane: seq vs chunk-merge vs lock-free election
-/// scans and reductions across holding sizes up to a million-plus edges.
-/// Above the calibrated crossover on a multicore host the parallel rows
-/// should win; on a single core they show the overhead the crossover
-/// exists to avoid — except the lock-free rows, which have no merge phase
-/// and can win on one core through the dense slot lookup alone.
+/// The holding plane's per-row sweeps across holding sizes up to a
+/// million-plus edges: incident counts and the self/multi-edge reduce.
 fn bench_holding_plane(c: &mut Criterion) {
     for rows in [1usize << 16, 1 << 20] {
         let el = gen::gnm((rows / 8) as u32, rows as u64, 77);
         let cg = CGraph::from_edge_list(&el);
-
-        let mut grp = c.benchmark_group("holding_plane_scan");
+        let mut grp = c.benchmark_group("holding_plane");
         grp.throughput(Throughput::Elements(rows as u64));
         grp.sample_size(10);
-        grp.bench_with_input(BenchmarkId::new("seq", rows), &cg, |b, cg| {
-            b.iter(|| mnd_kernels::min_edge_scan_with(cg, &KernelPolicy::seq()))
-        });
-        for chunk in [4096usize, 16384] {
-            grp.bench_with_input(
-                BenchmarkId::new(&format!("par{chunk}"), rows),
-                &cg,
-                |b, cg| {
-                    b.iter(|| mnd_kernels::min_edge_scan_with(cg, &KernelPolicy::force_par(chunk)))
-                },
-            );
-            grp.bench_with_input(
-                BenchmarkId::new(&format!("lockfree{chunk}"), rows),
-                &cg,
-                |b, cg| {
-                    b.iter(|| {
-                        mnd_kernels::min_edge_scan_with(cg, &KernelPolicy::force_lockfree(chunk))
-                    })
-                },
-            );
-        }
-        grp.finish();
-
-        let mut grp = c.benchmark_group("holding_plane_counts");
-        grp.throughput(Throughput::Elements(rows as u64));
-        grp.sample_size(10);
-        for (name, policy) in [
-            ("seq", KernelPolicy::seq()),
-            ("par4096", KernelPolicy::force_par(4096)),
-            ("lockfree4096", KernelPolicy::force_lockfree(4096)),
-        ] {
-            grp.bench_with_input(BenchmarkId::new(name, rows), &cg, |b, cg| {
-                b.iter_batched(
-                    || cg.clone(),
-                    |mut cg| cg.incident_counts_with(&policy).to_vec(),
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
-        grp.finish();
-
-        let mut grp = c.benchmark_group("holding_plane_reduce");
-        grp.throughput(Throughput::Elements(rows as u64));
-        grp.sample_size(10);
-        grp.bench_with_input(BenchmarkId::new("seq", rows), &cg, |b, cg| {
+        grp.bench_with_input(BenchmarkId::new("incident_counts", rows), &cg, |b, cg| {
             b.iter_batched(
                 || cg.clone(),
-                |mut cg| mnd_kernels::reduce::reduce_holding_with(&mut cg, &KernelPolicy::seq()),
+                |mut cg| cg.incident_counts().to_vec(),
                 criterion::BatchSize::LargeInput,
             )
         });
-        for chunk in [4096usize, 16384] {
-            grp.bench_with_input(
-                BenchmarkId::new(&format!("par{chunk}"), rows),
-                &cg,
-                |b, cg| {
-                    b.iter_batched(
-                        || cg.clone(),
-                        |mut cg| {
-                            mnd_kernels::reduce::reduce_holding_with(
-                                &mut cg,
-                                &KernelPolicy::force_par(chunk),
-                            )
-                        },
-                        criterion::BatchSize::LargeInput,
-                    )
-                },
-            );
-        }
+        grp.bench_with_input(BenchmarkId::new("reduce_holding", rows), &cg, |b, cg| {
+            b.iter_batched(
+                || cg.clone(),
+                |mut cg| mnd_kernels::reduce::reduce_holding(&mut cg),
+                criterion::BatchSize::LargeInput,
+            )
+        });
         grp.finish();
     }
 }

@@ -4,16 +4,15 @@
 //! perfsnap [PATH]    # default BENCH_9.json
 //! ```
 //!
-//! The snapshot records (a) the measured kernel-policy crossover table,
-//! (b) the seq-vs-par kernel sweep up to a million-plus-edge holding,
-//! (c) wall-clock plus simulated times for verified end-to-end runs —
+//! The snapshot records (a) wall-clock plus simulated times for verified
+//! end-to-end runs —
 //! the D&C driver at two node counts, every registered engine
 //! (`mnd::engines`) at 4 nodes, the serving plane's per-tenant p95
 //! latencies under the mixed serve-sweep workload (`serve:<tenant>`
 //! keys, simulated only: they carry no `wall_ms`), and every engine
 //! over the geometric presets (`emst:<preset>:<engine>` keys, the
 //! bounded-degree regime) — and
-//! (d) the comm-sweep traffic table (dense vs sparse exchange,
+//! (b) the comm-sweep traffic table (dense vs sparse exchange,
 //! compression, filter-Boruvka), so the bench trajectory across PRs
 //! lives in versioned JSON, not just in criterion's target directory.
 //! JSON is assembled by hand: every value is a number or a fixed
@@ -22,11 +21,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mnd_bench::{
-    comm_sweep, emst_sweep, engines_for, kernel_sweep, run_mnd, serve_sweep, ExpContext,
-    SWEEP_SIZES,
-};
-use mnd_device::{calibrate_kernel_policy, variant_name, NodePlatform};
+use mnd_bench::{comm_sweep, emst_sweep, engines_for, run_mnd, serve_sweep, ExpContext};
+use mnd_device::NodePlatform;
 use mnd_graph::presets::Preset;
 
 fn main() {
@@ -37,16 +33,8 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let cal = calibrate_kernel_policy(42);
-    let sweep = kernel_sweep(42, &SWEEP_SIZES, &cal.policy);
-
-    // End-to-end: verified runs at the default scale divisor, under the
-    // policy just calibrated (results are policy-invariant; wall-clock is
-    // what the snapshot tracks).
-    let ctx = ExpContext {
-        kernel_policy: cal.policy,
-        ..Default::default()
-    };
+    // End-to-end: verified runs at the default scale divisor.
+    let ctx = ExpContext::default();
     let el = ctx.graph(Preset::Arabic2005);
     let mut e2e = Vec::new();
     for nodes in [4usize, 16] {
@@ -105,47 +93,7 @@ fn main() {
     j.push_str("{\n");
     let _ = writeln!(j, "  \"pr\": 10,");
     let _ = writeln!(j, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(
-        j,
-        "  \"policy\": {{\"par_threshold\": {}, \"reduce_par_threshold\": {}, \"count_par_threshold\": {}, \"relabel_par_threshold\": {}, \"chunk_rows\": {}, \"election_variant\": \"{}\", \"count_variant\": \"{}\"}},",
-        cal.policy.par_threshold,
-        cal.policy.reduce_par_threshold,
-        cal.policy.count_par_threshold,
-        cal.policy.relabel_par_threshold,
-        cal.policy.chunk_rows,
-        variant_name(cal.policy.election_variant),
-        variant_name(cal.policy.count_variant)
-    );
-    j.push_str("  \"crossover\": [\n");
-    for (i, row) in cal.table.iter().enumerate() {
-        let pars: Vec<String> = row
-            .par_ns
-            .iter()
-            .map(|(chunk, ns)| format!("{{\"chunk\": {chunk}, \"ns\": {ns}}}"))
-            .collect();
-        let lf = row
-            .lockfree_ns
-            .map_or("null".to_string(), |ns| ns.to_string());
-        let _ = write!(
-            j,
-            "    {{\"rows\": {}, \"seq_ns\": {}, \"lockfree_ns\": {}, \"par\": [{}]}}",
-            row.rows,
-            row.seq_ns,
-            lf,
-            pars.join(", ")
-        );
-        j.push_str(if i + 1 < cal.table.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n  \"kernel_sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"rows\": {}, \"chunk\": {}, \"seq_ns\": {}, \"par_ns\": {}, \"speedup\": {:.3}, \"selected\": {}}}",
-            r.kernel, r.variant, r.rows, r.chunk, r.seq_ns, r.par_ns, r.speedup(), r.selected
-        );
-        j.push_str(if i + 1 < sweep.len() { ",\n" } else { "\n" });
-    }
-    j.push_str("  ],\n  \"end_to_end\": [\n");
+    j.push_str("  \"end_to_end\": [\n");
     for (i, (graph, nodes, wall_ms, sim_s)) in e2e.iter().enumerate() {
         let wall = wall_ms.map_or(String::new(), |ms| format!(" \"wall_ms\": {ms},"));
         let _ = write!(

@@ -25,19 +25,10 @@ fn main() {
     let mut nranks = 16usize;
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut seed_grid: Vec<u64> = Vec::new();
-    let mut variant_filter: Option<String> = None;
     let mut experiments: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--variant" => {
-                let v = it.next().expect("--variant seq|chunk-merge|lockfree");
-                assert!(
-                    matches!(v.as_str(), "seq" | "chunk-merge" | "lockfree"),
-                    "--variant must be seq, chunk-merge or lockfree (got {v})"
-                );
-                variant_filter = Some(v);
-            }
             "--csv" => {
                 csv_dir = Some(it.next().expect("--csv DIR").into());
             }
@@ -84,9 +75,8 @@ fn main() {
                     "             ablation-group ablation-excp ablation-thresh ablation-locality"
                 );
                 println!("             ablation-weights ablation-network calibration");
-                println!("             kernel-sweep chaos resilience checkpoint-sweep traffic");
+                println!("             chaos resilience checkpoint-sweep traffic");
                 println!("             engines serve-sweep comm-sweep emst-sweep");
-                println!("--variant seq|chunk-merge|lockfree filters the kernel-sweep rows");
                 println!(
                     "--trace PATH streams phase samples + chaos events as JSON lines (- = stdout)"
                 );
@@ -111,33 +101,11 @@ fn main() {
         }
     };
 
-    // Host-calibrated holding-plane crossovers, served from the on-disk
-    // per-host cache after the first run (results are policy-invariant;
-    // only host wall-clock changes).
-    ctx.kernel_policy = mnd_device::calibrate_kernel_policy_cached(ctx.seed);
-
     println!(
         "# MND-MST reproduction — scale 1/{}, seed {}, verify {}",
         ctx.scale, ctx.seed, ctx.verify
     );
     println!("(times are simulated seconds at paper scale; see DESIGN.md)");
-    let thr = |t: usize| {
-        if t == usize::MAX {
-            "=seq".to_string() // clamped: parallel never won in calibration
-        } else {
-            format!(">{t}")
-        }
-    };
-    println!(
-        "(kernel policy: election{} [{}] reduce{} count{} [{}] relabel{} chunk={}, cached per host)",
-        thr(ctx.kernel_policy.par_threshold),
-        mnd_device::variant_name(ctx.kernel_policy.election_variant),
-        thr(ctx.kernel_policy.reduce_par_threshold),
-        thr(ctx.kernel_policy.count_par_threshold),
-        mnd_device::variant_name(ctx.kernel_policy.count_variant),
-        thr(ctx.kernel_policy.relabel_par_threshold),
-        ctx.kernel_policy.chunk_rows
-    );
 
     if want("table2") {
         let rows = table2(&ctx);
@@ -594,81 +562,6 @@ fn main() {
                     ]
                 })
                 .collect::<Vec<_>>(),
-        );
-    }
-
-    if want("kernel-sweep") {
-        let cal = mnd_device::calibrate_kernel_policy(ctx.seed);
-        emit(
-            "kernel-crossover",
-            &format!(
-                "Kernel crossover calibration (election{} [{}], reduce{}, count{} [{}], relabel{}, chunk_rows={})",
-                thr(cal.policy.par_threshold),
-                mnd_device::variant_name(cal.policy.election_variant),
-                thr(cal.policy.reduce_par_threshold),
-                thr(cal.policy.count_par_threshold),
-                mnd_device::variant_name(cal.policy.count_variant),
-                thr(cal.policy.relabel_par_threshold),
-                cal.policy.chunk_rows
-            ),
-            &["rows", "seq ns", "best par ns", "best chunk", "lockfree ns"],
-            &cal.table
-                .iter()
-                .map(|r| {
-                    let (chunk, ns) = r.best_par().unwrap_or((0, u64::MAX));
-                    vec![
-                        r.rows.to_string(),
-                        r.seq_ns.to_string(),
-                        ns.to_string(),
-                        chunk.to_string(),
-                        r.lockfree_ns.map_or("-".into(), |ns| ns.to_string()),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        let rows = kernel_sweep(ctx.seed, &SWEEP_SIZES, &ctx.kernel_policy);
-        // Display rows: one `seq` baseline row per kernel/size plus one row
-        // per measured parallel variant; `--variant` filters on the column.
-        let mut flat: Vec<Vec<String>> = Vec::new();
-        let keep = |v: &str| variant_filter.as_deref().is_none_or(|f| f == v);
-        for r in &rows {
-            // The chunk-merge row is always the first per kernel/size, so
-            // hang the shared seq baseline row off it.
-            if r.variant == "chunk-merge" && keep("seq") {
-                let seq_selected = !rows
-                    .iter()
-                    .any(|o| o.kernel == r.kernel && o.rows == r.rows && o.selected);
-                flat.push(vec![
-                    r.kernel.into(),
-                    "seq".into(),
-                    r.rows.to_string(),
-                    r.seq_ns.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "1.00x".into(),
-                    if seq_selected { "yes" } else { "" }.to_string(),
-                ]);
-            }
-            if keep(r.variant) {
-                flat.push(vec![
-                    r.kernel.into(),
-                    r.variant.into(),
-                    r.rows.to_string(),
-                    r.seq_ns.to_string(),
-                    r.par_ns.to_string(),
-                    r.chunk.to_string(),
-                    format!("{:.2}x", r.speedup()),
-                    if r.selected { "yes" } else { "" }.to_string(),
-                ]);
-            }
-        }
-        emit(
-            "kernel-sweep",
-            "Kernel sweep: seq vs chunk-merge vs lock-free holding-plane kernels",
-            &[
-                "kernel", "variant", "rows", "seq ns", "par ns", "chunk", "speedup", "selected",
-            ],
-            &flat,
         );
     }
 

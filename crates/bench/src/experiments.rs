@@ -16,7 +16,7 @@ use mnd_graph::{CsrGraph, EdgeList};
 use mnd_hypar::observe::ObserverHook;
 use mnd_hypar::HyParConfig;
 use mnd_kernels::oracle::kruskal_msf;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 use mnd_mst::{MndMstReport, MndMstRunner};
 use mnd_net::Tag;
 use mnd_pregel::{pregel_msf, BspConfig, PregelReport};
@@ -40,11 +40,6 @@ pub struct ExpContext {
     /// Optional observer attached to every MND run's config — the
     /// `--trace` plumbing (see [`crate::trace`]). Unset by default.
     pub observer: ObserverHook,
-    /// Holding-plane kernel policy threaded into every MND run. Defaults
-    /// to the conservative fallback; the `repro` binary installs the
-    /// host-calibrated (disk-cached) policy instead. Never changes
-    /// results — only which kernels take the chunk-parallel path.
-    pub kernel_policy: KernelPolicy,
 }
 
 impl Default for ExpContext {
@@ -54,7 +49,6 @@ impl Default for ExpContext {
             seed: 42,
             verify: true,
             observer: ObserverHook::none(),
-            kernel_policy: KernelPolicy::default(),
         }
     }
 }
@@ -68,9 +62,7 @@ impl ExpContext {
     /// HyPar config carrying the simulation scale (and the context's
     /// observer, when one is attached).
     pub fn hypar(&self) -> HyParConfig {
-        let mut cfg = HyParConfig::default()
-            .with_sim_scale(self.scale as f64)
-            .with_kernel_policy(self.kernel_policy);
+        let mut cfg = HyParConfig::default().with_sim_scale(self.scale as f64);
         cfg.observer = self.observer.clone();
         cfg
     }
@@ -740,169 +732,6 @@ pub fn calibration(ctx: &ExpContext) -> Vec<CalibrationRow> {
             }
         })
         .collect()
-}
-
-// --------------------------------------------------------------------- //
-// Kernel sweep: seq vs par holding-plane kernels
-// --------------------------------------------------------------------- //
-
-/// One seq-vs-par wall-clock measurement of a holding-plane kernel, for one
-/// parallel variant (`chunk-merge` or `lockfree`).
-#[derive(Clone, Debug)]
-pub struct KernelSweepRow {
-    /// Kernel name (`min_edge_scan`, `reduce_holding`, `incident_counts`).
-    pub kernel: &'static str,
-    /// Parallel variant this row measured: `chunk-merge` or `lockfree`.
-    pub variant: &'static str,
-    /// Holding size in edges.
-    pub rows: usize,
-    /// Chunk size of the best parallel run.
-    pub chunk: usize,
-    /// Sequential nanoseconds (best of 3).
-    pub seq_ns: u64,
-    /// Best parallel nanoseconds across the chunk candidates (best of 3).
-    pub par_ns: u64,
-    /// True when the calibrated policy would actually route this kernel at
-    /// this size down this variant's parallel path — the rows
-    /// `bench_check.sh` gates against sub-1.0× speedups.
-    pub selected: bool,
-}
-
-impl KernelSweepRow {
-    /// Seq/par speedup (>1 means the parallel path wins).
-    pub fn speedup(&self) -> f64 {
-        self.seq_ns as f64 / self.par_ns.max(1) as f64
-    }
-}
-
-/// Holding sizes for [`kernel_sweep`]: the largest is above a million edges
-/// (the acceptance scale for the parallel plane).
-pub const SWEEP_SIZES: [usize; 3] = [1 << 14, 1 << 17, 1 << 20];
-
-fn best_of(k: u32, mut f: impl FnMut() -> std::time::Duration) -> u64 {
-    (0..k)
-        .map(|_| f().as_nanos() as u64)
-        .min()
-        .unwrap_or(u64::MAX)
-}
-
-/// Measures the holding-plane kernels sequentially and under both parallel
-/// variants (chunk-merge and, where implemented, lock-free) on `gnm`
-/// holdings of the given sizes. The result is byte-identical every way (the
-/// determinism contract); only the wall-clock differs. `policy` is the
-/// calibrated policy of the host: each row's `selected` flag records
-/// whether that policy would actually route the kernel at that size down
-/// that variant — those are the rows the snapshot gate refuses to let
-/// regress below 1.0×.
-pub fn kernel_sweep(
-    seed: u64,
-    sizes: &[usize],
-    policy: &mnd_kernels::policy::KernelPolicy,
-) -> Vec<KernelSweepRow> {
-    use mnd_kernels::policy::{KernelClass, KernelPolicy, ParVariant};
-    use mnd_kernels::reduce::reduce_holding_with;
-    use mnd_kernels::scan::min_edge_scan_with;
-    use std::time::Instant;
-
-    let chunks = [1024usize, 4096, 16384];
-    let variant_of = |name: &'static str| match name {
-        "chunk-merge" => ParVariant::ChunkMerge,
-        _ => ParVariant::LockFree,
-    };
-    let selected = |class: KernelClass, variant: &'static str, m: usize| {
-        policy.use_par_for(class, m) && policy.variant_for(class) == variant_of(variant)
-    };
-    let mut rows = Vec::new();
-    for &m in sizes {
-        let el = mnd_graph::gen::gnm(((m / 8).max(16)) as u32, m as u64, seed ^ m as u64);
-        let cg = mnd_kernels::cgraph::CGraph::from_edge_list(&el);
-        let seq = KernelPolicy::seq();
-
-        let best_par =
-            |variant: &'static str, f: &mut dyn FnMut(&KernelPolicy) -> std::time::Duration| {
-                chunks
-                    .iter()
-                    .filter(|&&c| c < m)
-                    .map(|&c| {
-                        let policy = match variant {
-                            "chunk-merge" => KernelPolicy::force_par(c),
-                            _ => KernelPolicy::force_lockfree(c),
-                        };
-                        (best_of(3, || f(&policy)), c)
-                    })
-                    .min()
-                    .unwrap_or((u64::MAX, 0))
-            };
-
-        let seq_ns = best_of(3, || {
-            let t = Instant::now();
-            std::hint::black_box(min_edge_scan_with(&cg, &seq));
-            t.elapsed()
-        });
-        for variant in ["chunk-merge", "lockfree"] {
-            let (par_ns, chunk) = best_par(variant, &mut |p| {
-                let t = Instant::now();
-                std::hint::black_box(min_edge_scan_with(&cg, p));
-                t.elapsed()
-            });
-            rows.push(KernelSweepRow {
-                kernel: "min_edge_scan",
-                variant,
-                rows: m,
-                chunk,
-                seq_ns,
-                par_ns,
-                selected: selected(KernelClass::Election, variant, m),
-            });
-        }
-
-        let seq_ns = best_of(3, || {
-            let mut c = cg.clone();
-            let t = Instant::now();
-            std::hint::black_box(reduce_holding_with(&mut c, &seq));
-            t.elapsed()
-        });
-        let (par_ns, chunk) = best_par("chunk-merge", &mut |p| {
-            let mut c = cg.clone();
-            let t = Instant::now();
-            std::hint::black_box(reduce_holding_with(&mut c, p));
-            t.elapsed()
-        });
-        rows.push(KernelSweepRow {
-            kernel: "reduce_holding",
-            variant: "chunk-merge",
-            rows: m,
-            chunk,
-            seq_ns,
-            par_ns,
-            selected: selected(KernelClass::Reduce, "chunk-merge", m),
-        });
-
-        let seq_ns = best_of(3, || {
-            let mut c = cg.clone();
-            let t = Instant::now();
-            std::hint::black_box(c.incident_counts_with(&seq));
-            t.elapsed()
-        });
-        for variant in ["chunk-merge", "lockfree"] {
-            let (par_ns, chunk) = best_par(variant, &mut |p| {
-                let mut c = cg.clone();
-                let t = Instant::now();
-                std::hint::black_box(c.incident_counts_with(p));
-                t.elapsed()
-            });
-            rows.push(KernelSweepRow {
-                kernel: "incident_counts",
-                variant,
-                rows: m,
-                chunk,
-                seq_ns,
-                par_ns,
-                selected: selected(KernelClass::Count, variant, m),
-            });
-        }
-    }
-    rows
 }
 
 // --------------------------------------------------------------------- //
@@ -2488,51 +2317,6 @@ mod tests {
         let b = serve_sweep(&ctx, 4);
         assert_eq!(format!("{:?}", a.tenants), format!("{:?}", b.tenants));
         assert_eq!(format!("{:?}", a.planes), format!("{:?}", b.planes));
-    }
-
-    #[test]
-    fn kernel_sweep_reports_all_kernels() {
-        use mnd_kernels::policy::KernelPolicy;
-        let policy = KernelPolicy {
-            par_threshold: 1 << 11, // selects the 4096-row tier ...
-            reduce_par_threshold: 1 << 11,
-            count_par_threshold: usize::MAX, // ... but never counts (the clamp)
-            ..KernelPolicy::default()
-        };
-        let rows = kernel_sweep(7, &[1 << 12], &policy);
-        // Two variants for min_edge_scan and incident_counts, one for the
-        // reduction: five rows per size.
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(r.seq_ns > 0 && r.par_ns > 0, "{r:?}");
-            assert!(r.chunk > 0, "{r:?}");
-            assert!(r.speedup() > 0.0, "{r:?}");
-            assert!(matches!(r.variant, "chunk-merge" | "lockfree"), "{r:?}");
-        }
-        assert_eq!(
-            rows.iter().filter(|r| r.kernel == "min_edge_scan").count(),
-            2
-        );
-        // The policy selects exactly the default-variant election row and
-        // the reduction row; the clamped count class selects nothing.
-        let on: Vec<_> = rows.iter().filter(|r| r.selected).collect();
-        assert_eq!(on.len(), 2, "{on:?}");
-        assert!(on
-            .iter()
-            .any(|r| r.kernel == "min_edge_scan"
-                && r.variant == variant_label(policy.election_variant)));
-        assert!(on.iter().any(|r| r.kernel == "reduce_holding"));
-        assert!(rows
-            .iter()
-            .filter(|r| r.kernel == "incident_counts")
-            .all(|r| !r.selected));
-    }
-
-    fn variant_label(v: mnd_kernels::policy::ParVariant) -> &'static str {
-        match v {
-            mnd_kernels::policy::ParVariant::ChunkMerge => "chunk-merge",
-            mnd_kernels::policy::ParVariant::LockFree => "lockfree",
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use mnd_graph::partition::{owner_of, VertexRange};
 use mnd_kernels::cgraph::{CGraph, CompId};
 use mnd_kernels::idhash::{IdMap, IdSet};
-use mnd_kernels::lockfree::SlotLookup;
+use mnd_kernels::slot::SlotLookup;
 
 /// Component → resident rank map.
 #[derive(Clone, Debug, Default)]

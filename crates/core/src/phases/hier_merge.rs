@@ -9,7 +9,7 @@ use mnd_kernels::cgraph::CompId;
 use mnd_net::{Comm, Group, Tag};
 
 use crate::phases::{IndComp, Phase, RankCtx, RankRecovery};
-use crate::segment::{choose_segment_with, SegmentMsg};
+use crate::segment::{choose_segment, SegmentMsg};
 
 /// Ring-segment messages.
 const TAG_SEG: Tag = Tag::user(1);
@@ -49,8 +49,7 @@ impl HierMerge {
                 let right = g.right_of(me);
                 let cap = cx.runner.segment_cap_bytes();
                 let strategy = cx.runner.segment_strategy;
-                let policy = cx.runner.config.kernel_policy;
-                let take = choose_segment_with(&mut cx.cg, cap, strategy, &policy);
+                let take = choose_segment(&mut cx.cg, cap, strategy);
                 let seg = cx.cg.split_off(&take);
                 let msg = SegmentMsg::from_holding(seg);
                 my_moves = take.iter().map(|&c| (c, left as u32)).collect();

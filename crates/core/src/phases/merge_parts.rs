@@ -3,7 +3,7 @@
 
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::CompId;
-use mnd_kernels::reduce::{apply_ghost_parents_with, ghost_parent_message, reduce_holding_with};
+use mnd_kernels::reduce::{apply_ghost_parents, ghost_parent_message, reduce_holding};
 use mnd_wire::PackedPairs;
 
 use crate::ghost::relabel_buckets;
@@ -32,7 +32,6 @@ impl Phase for MergeParts {
             // device results may repeat pairs; §3.3 sends each once).
             ghost_parent_message(&mut relabel);
 
-            let policy = cx.runner.config.kernel_policy;
             let cfg = cx.cfg();
             let buckets = relabel_buckets(&cx.cg, &relabel, &cx.dir, comm.rank(), comm.size());
             let received = if cfg.compressed_relabels {
@@ -60,11 +59,11 @@ impl Phase for MergeParts {
             );
             let pairs = received.concat();
             drop(received);
-            apply_ghost_parents_with(&mut cx.cg, &policy, &pairs);
+            apply_ghost_parents(&mut cx.cg, &pairs);
             cx.dir.apply_relabels(&pairs);
 
             // Reduce: self-edge removal + multi-edge removal, in place.
-            let stats = reduce_holding_with(&mut cx.cg, &policy);
+            let stats = reduce_holding(&mut cx.cg);
             comm.compute(cx.runner.sweep_seconds(stats.edges_before));
         });
     }

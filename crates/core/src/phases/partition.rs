@@ -6,7 +6,7 @@ use mnd_hypar::api::part_graph;
 use mnd_hypar::observe::PhaseKind;
 use mnd_kernels::cgraph::{CGraph, CompId};
 use mnd_kernels::filter::filter_holding;
-use mnd_kernels::lockfree::SlotLookup;
+use mnd_kernels::slot::SlotLookup;
 use mnd_wire::PackedIds;
 
 use crate::ghost::GhostDirectory;

@@ -15,7 +15,6 @@
 //! so groups converge in fewer ring rounds.
 
 use mnd_kernels::cgraph::{CEdge, CGraph, CompId};
-use mnd_kernels::policy::KernelPolicy;
 use mnd_net::Wire;
 
 /// A segment in flight between two ranks: resident components, their
@@ -93,24 +92,12 @@ pub enum SegmentStrategy {
 
 /// Picks the components of the next outgoing segment: a subset of the
 /// resident components carrying at most half of the holding's wire bytes,
-/// capped at `max_bytes`, packed per the default [`SegmentStrategy`]. The
-/// holder always keeps at least one component so it still participates in
-/// collaborative merging.
+/// capped at `max_bytes`, packed per `strategy`. The holder always keeps
+/// at least one component so it still participates in collaborative
+/// merging.
 ///
 /// Returns an empty vector when the holder has fewer than 2 components
 /// (nothing sensible to send).
-pub fn choose_segment(cg: &mut CGraph, max_bytes: u64) -> Vec<CompId> {
-    choose_segment_with(
-        cg,
-        max_bytes,
-        SegmentStrategy::default(),
-        &KernelPolicy::default(),
-    )
-}
-
-/// As [`choose_segment`] with an explicit packing strategy and kernel
-/// policy (the incident-count column is a parallel reduction above the
-/// policy crossover).
 ///
 /// Components are weighed by the **wire bytes** they put in the outgoing
 /// [`SegmentMsg`] — resident id + incident edges × edge size + the frozen
@@ -118,12 +105,7 @@ pub fn choose_segment(cg: &mut CGraph, max_bytes: u64) -> Vec<CompId> {
 /// units. The old incident-*count* weighting under-counted components with
 /// frozen marks and made the cap an edge-count estimate that drifted from
 /// what [`mnd_net::Comm::send`] actually charges.
-pub fn choose_segment_with(
-    cg: &mut CGraph,
-    max_bytes: u64,
-    strategy: SegmentStrategy,
-    policy: &KernelPolicy,
-) -> Vec<CompId> {
+pub fn choose_segment(cg: &mut CGraph, max_bytes: u64, strategy: SegmentStrategy) -> Vec<CompId> {
     let n = cg.num_resident();
     if n < 2 {
         return Vec::new();
@@ -133,7 +115,7 @@ pub fn choose_segment_with(
     let edge_bytes = std::mem::size_of::<CEdge>() as u64;
     let id_bytes = std::mem::size_of::<CompId>() as u64;
     let weights: Vec<u64> = cg
-        .incident_counts_with(policy)
+        .incident_counts()
         .iter()
         .zip(&resident)
         .map(|(&cnt, c)| {
@@ -206,7 +188,7 @@ mod tests {
     #[test]
     fn segment_round_trips_through_message() {
         let mut cg = holding(1);
-        let take = choose_segment(&mut cg, u64::MAX);
+        let take = choose_segment(&mut cg, u64::MAX, SegmentStrategy::default());
         assert!(!take.is_empty());
         let seg = cg.split_off(&take);
         let before = seg.clone();
@@ -223,7 +205,7 @@ mod tests {
             SegmentStrategy::BestFitDecreasing,
         ] {
             let mut cg = holding(2);
-            let take = choose_segment_with(&mut cg, u64::MAX, strategy, &KernelPolicy::default());
+            let take = choose_segment(&mut cg, u64::MAX, strategy);
             let frac = take.len() as f64 / cg.num_resident() as f64;
             assert!((0.15..0.85).contains(&frac), "{strategy:?} fraction {frac}");
         }
@@ -232,18 +214,8 @@ mod tests {
     #[test]
     fn best_fit_needs_no_more_components_than_first_fit() {
         let mut cg = holding(2);
-        let ff = choose_segment_with(
-            &mut cg,
-            u64::MAX,
-            SegmentStrategy::FirstFit,
-            &KernelPolicy::default(),
-        );
-        let bfd = choose_segment_with(
-            &mut cg,
-            u64::MAX,
-            SegmentStrategy::BestFitDecreasing,
-            &KernelPolicy::default(),
-        );
+        let ff = choose_segment(&mut cg, u64::MAX, SegmentStrategy::FirstFit);
+        let bfd = choose_segment(&mut cg, u64::MAX, SegmentStrategy::BestFitDecreasing);
         // Both fill the same edge target; BFD does it with the heaviest
         // components, so it never needs more of them.
         assert!(bfd.len() <= ff.len(), "bfd {} > ff {}", bfd.len(), ff.len());
@@ -259,19 +231,9 @@ mod tests {
             .collect();
         let resident: Vec<CompId> = (0..=10).collect();
         let mut cg = CGraph::from_parts(resident, edges, vec![]);
-        let bfd = choose_segment_with(
-            &mut cg,
-            u64::MAX,
-            SegmentStrategy::BestFitDecreasing,
-            &KernelPolicy::default(),
-        );
+        let bfd = choose_segment(&mut cg, u64::MAX, SegmentStrategy::BestFitDecreasing);
         assert_eq!(bfd, vec![0]);
-        let ff = choose_segment_with(
-            &mut cg,
-            u64::MAX,
-            SegmentStrategy::FirstFit,
-            &KernelPolicy::default(),
-        );
+        let ff = choose_segment(&mut cg, u64::MAX, SegmentStrategy::FirstFit);
         // The suffix walk trickles leaves until the byte budget fills (it
         // stops one leaf short of half the holding's bytes, never touching
         // the hub).
@@ -290,20 +252,15 @@ mod tests {
             CEdge::new(2, 8, mnd_graph::WEdge::new(2, 8, 2)),
         ];
         let mut cg = CGraph::from_parts(vec![1, 2, 3], edges, vec![2]);
-        let bfd = choose_segment_with(
-            &mut cg,
-            u64::MAX,
-            SegmentStrategy::BestFitDecreasing,
-            &KernelPolicy::default(),
-        );
+        let bfd = choose_segment(&mut cg, u64::MAX, SegmentStrategy::BestFitDecreasing);
         assert_eq!(bfd, vec![2], "the frozen component weighs more: {bfd:?}");
     }
 
     #[test]
     fn byte_cap_limits_segment() {
         let mut cg = holding(3);
-        let small = choose_segment(&mut cg, 200); // ~10 edges worth
-        let large = choose_segment(&mut cg, u64::MAX);
+        let small = choose_segment(&mut cg, 200, SegmentStrategy::default()); // ~10 edges worth
+        let large = choose_segment(&mut cg, u64::MAX, SegmentStrategy::default());
         assert!(small.len() <= large.len());
         assert!(!small.is_empty());
     }
@@ -315,7 +272,7 @@ mod tests {
             SegmentStrategy::BestFitDecreasing,
         ] {
             let mut cg = holding(4);
-            let take = choose_segment_with(&mut cg, u64::MAX, strategy, &KernelPolicy::default());
+            let take = choose_segment(&mut cg, u64::MAX, strategy);
             assert!(take.len() < cg.num_resident());
         }
     }
@@ -323,8 +280,10 @@ mod tests {
     #[test]
     fn tiny_holdings_send_nothing() {
         let mut cg = CGraph::from_parts(vec![7], vec![], vec![]);
-        assert!(choose_segment(&mut cg, u64::MAX).is_empty());
-        assert!(choose_segment(&mut CGraph::new(), u64::MAX).is_empty());
+        assert!(choose_segment(&mut cg, u64::MAX, SegmentStrategy::default()).is_empty());
+        assert!(
+            choose_segment(&mut CGraph::new(), u64::MAX, SegmentStrategy::default()).is_empty()
+        );
     }
 
     #[test]

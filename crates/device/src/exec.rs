@@ -1,9 +1,9 @@
 //! Executing kernels "on" a device: real computation + modelled time.
 
 use mnd_kernels::binning::BinnedSchedule;
-use mnd_kernels::boruvka::{local_boruvka_with, LocalOutput};
+use mnd_kernels::boruvka::{local_boruvka, LocalOutput};
 use mnd_kernels::cgraph::CGraph;
-use mnd_kernels::policy::{ExcpCond, FreezePolicy, KernelPolicy, StopPolicy};
+use mnd_kernels::policy::{ExcpCond, FreezePolicy, StopPolicy};
 
 use crate::model::DeviceModel;
 
@@ -56,18 +56,12 @@ impl ExecDevice {
 
     /// Degree-skew fraction of a holding, as the GPU scheduler would see
     /// it: the holding's incident-count column
-    /// ([`CGraph::incident_counts_with`] — reusable scratch, parallel
-    /// reduction above the policy crossover), binned.
+    /// ([`CGraph::incident_counts`], reusable scratch), binned.
     pub fn holding_skew(cg: &mut CGraph) -> f64 {
-        Self::holding_skew_with(cg, &KernelPolicy::default())
-    }
-
-    /// Policy-aware [`ExecDevice::holding_skew`].
-    pub fn holding_skew_with(cg: &mut CGraph, policy: &KernelPolicy) -> f64 {
         if cg.num_resident() == 0 {
             return 0.0;
         }
-        let counts = cg.incident_counts_with(policy).to_vec();
+        let counts = cg.incident_counts().to_vec();
         let sched = BinnedSchedule::build(counts);
         sched.skew_fraction()
     }
@@ -83,24 +77,9 @@ impl ExecDevice {
         freeze: FreezePolicy,
         stop: StopPolicy,
     ) -> IndCompRun {
-        self.run_ind_comp_with(cg, &KernelPolicy::default(), excp, freeze, stop)
-    }
-
-    /// As [`ExecDevice::run_ind_comp`], under an explicit (typically
-    /// calibrated) [`KernelPolicy`] governing the election sweep and the
-    /// holding reductions. Results are identical for every policy; only
-    /// wall-clock changes.
-    pub fn run_ind_comp_with(
-        &mut self,
-        cg: &mut CGraph,
-        policy: &KernelPolicy,
-        excp: ExcpCond,
-        freeze: FreezePolicy,
-        stop: StopPolicy,
-    ) -> IndCompRun {
-        let skew = Self::holding_skew_with(cg, policy);
+        let skew = Self::holding_skew(cg);
         let upload_bytes = cg.approx_bytes() as u64;
-        let output = local_boruvka_with(cg, policy, excp, freeze, stop);
+        let output = local_boruvka(cg, excp, freeze, stop);
         let kernel_time = self.model.kernel_time(&output.work, skew);
         let download_bytes =
             (output.msf_edges.len() * std::mem::size_of::<mnd_graph::WEdge>()) as u64;

@@ -27,9 +27,8 @@ pub mod model;
 pub mod platform;
 
 pub use calibrate::{
-    assumed_round_msgs, calibrate_kernel_policy, calibrate_kernel_policy_cached, calibrate_split,
-    calibrated_recursion_threshold, recursion_threshold_for_round_msgs, variant_name, CrossoverRow,
-    DeviceSplit, KernelCalibration, LOCKFREE_CHUNK,
+    assumed_round_msgs, calibrate_split, calibrated_recursion_threshold,
+    recursion_threshold_for_round_msgs, DeviceSplit,
 };
 pub use exec::{ExecDevice, IndCompRun};
 pub use model::{DeviceKind, DeviceModel};

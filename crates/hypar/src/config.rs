@@ -64,14 +64,9 @@ pub struct HyParConfig {
     pub max_exchange_rounds: usize,
     /// Deterministic seed for calibration sampling.
     pub seed: u64,
-    /// Seq/par crossover, parallel-variant choice (chunk-merge vs the
-    /// lock-free atomic plane) and chunk size for the holding-plane
-    /// kernels (election, reductions, relabels, incident counts).
-    /// Populate from `mnd_device::calibrate_kernel_policy` for measured
-    /// numbers — it times all three paths per class and clamps a class
-    /// whose parallel variants never win to sequential-only; the default
-    /// is a conservative uncalibrated fallback. Results never depend on
-    /// this — only wall-clock does.
+    /// Holding-plane kernel policy. It has no settings: every kernel has
+    /// one sequential path. The field remains only because the
+    /// `perfbench/` harness reads it.
     pub kernel_policy: KernelPolicy,
     /// Optional phase observer: fired by the driver at every phase boundary
     /// with the phase's time/traffic sample (see [`crate::observe`]).
@@ -126,7 +121,7 @@ impl Default for HyParConfig {
             sim_scale: 1.0,
             max_exchange_rounds: 8,
             seed: 0x4D4E_442D,
-            kernel_policy: KernelPolicy::default(),
+            kernel_policy: KernelPolicy,
             observer: ObserverHook::none(),
             chaos: ChaosHook::none(),
             sparse_exchange: true,
@@ -159,13 +154,6 @@ impl HyParConfig {
     /// vs. platform-calibrated break-even).
     pub fn with_recursion_threshold_source(mut self, source: RecursionThresholdSource) -> Self {
         self.recursion_threshold_source = source;
-        self
-    }
-
-    /// Sets the holding-plane kernel policy (typically from
-    /// `mnd_device::calibrate_kernel_policy`).
-    pub fn with_kernel_policy(mut self, policy: KernelPolicy) -> Self {
-        self.kernel_policy = policy;
         self
     }
 

@@ -15,46 +15,28 @@
 //! the cut property guarantees it belongs to the (unique) MSF — no edge is
 //! ever contracted speculatively.
 //!
-//! ## Deterministic parallel election
+//! ## Election
 //!
-//! Above the [`KernelPolicy`] crossover the election runs the policy's
-//! variant. **Chunk-merge**: worklist chunks sweep on rayon workers, each
-//! producing a partial winner table; partials merge in chunk order under
-//! the total order `(original edge, worklist row)`, so the merged table is
-//! byte-identical to the sequential sweep for any chunking. The union-find
-//! is fully path-compressed before each election (`compress_all`), so
-//! workers can resolve roots through a shared reference without mutation.
-//! **Lock-free**: workers CAS packed `(weight << 32) | row` words into one
-//! atomic slot per root ([`crate::lockfree::fetch_min_edge`], weight ties
-//! falling back to the full edge key) and resolve roots through the
-//! concurrent [`AtomicDisjointSets`] — no partial tables, no merge phase.
-//! A fetch-min under a total order is commutative, so every interleaving
-//! elects the same winners as the sequential sweep.
+//! Each round one sequential sweep over the worklist keeps, per resident
+//! root, the packed key `(weight << 32) | row` of its lightest candidate in
+//! a plain `Vec<u64>` ([`crate::slot`]): weight ties fall back to the full
+//! `((w, u, v), row)` order, so the winner is the unique minimum under the
+//! workspace edge order. The union-find (`MinDsu`) is fully
+//! path-compressed before each sweep, so roots resolve in one hop.
 //!
-//! Either way, contraction then visits winner slots sequentially in
-//! root-index order — safe because the elected edges form a forest under
-//! the total edge order (mutual elections are the same edge), so the union
-//! *set* is order-independent, and making the order fixed makes the whole
-//! kernel deterministic across policies and thread counts.
-//!
-//! Election scratch — the atomic min-edge array, its decoded winner buffer
-//! and the DSU parent array — is allocated once per invocation and *reset*
-//! (the drain swaps slots back to empty) per round, mirroring the
-//! `incident_counts_with` scratch pattern.
-
-use std::sync::atomic::AtomicU64;
+//! Contraction then visits winner slots in root-index order — the elected
+//! edges form a forest under the total edge order (mutual elections are
+//! the same edge), so the union *set* is order-independent, and the fixed
+//! order makes the whole kernel deterministic. The visit swaps every slot
+//! back to [`NONE_KEY`], which is exactly the reset the next round needs:
+//! the slot array is allocated once per invocation.
 
 use mnd_graph::types::WEdge;
-use rayon::prelude::*;
 
 use crate::cgraph::{CGraph, CompId};
-use crate::dsu::AtomicDisjointSets;
-use crate::lockfree::{fetch_min_edge, pack, row_of, NONE_KEY};
 use crate::msf::MsfResult;
-use crate::policy::{
-    ExcpCond, FreezePolicy, IterWork, KernelClass, KernelPolicy, ParVariant, StopPolicy,
-    WorkProfile,
-};
+use crate::policy::{ExcpCond, FreezePolicy, IterWork, KernelPolicy, StopPolicy, WorkProfile};
+use crate::slot::{pack, precedes, row_of, SlotLookup, NONE_KEY};
 
 /// Output of one `indComp` invocation on a holding.
 #[derive(Clone, Debug, Default)]
@@ -89,19 +71,6 @@ pub fn local_boruvka(
     freeze: FreezePolicy,
     stop: StopPolicy,
 ) -> LocalOutput {
-    local_boruvka_with(cg, &KernelPolicy::default(), excp, freeze, stop)
-}
-
-/// As [`local_boruvka`], under an explicit (typically calibrated)
-/// [`KernelPolicy`] governing the election sweep, the commit relabel and
-/// the fused self-edge compaction. Output is identical for every policy.
-pub fn local_boruvka_with(
-    cg: &mut CGraph,
-    policy: &KernelPolicy,
-    excp: ExcpCond,
-    freeze: FreezePolicy,
-    stop: StopPolicy,
-) -> LocalOutput {
     if excp == ExcpCond::None {
         assert_eq!(
             cg.num_cut_edges(),
@@ -113,22 +82,13 @@ pub fn local_boruvka_with(
     let resident: Vec<CompId> = cg.resident().to_vec();
     let n = resident.len();
     // Local dense index per resident component.
-    let index_of = |c: CompId| -> Option<u32> { resident.binary_search(&c).ok().map(|i| i as u32) };
+    let slots = SlotLookup::new(&resident);
+    let index_of = |c: CompId| slots.get(c);
 
-    // The election mode is fixed per invocation (the DSU flavour must not
-    // switch mid-run): lock-free when the policy routes elections through
-    // the atomic plane and the initial worklist clears the crossover —
-    // worklists only shrink, and late small rounds cost the same either way.
-    let lockfree = policy.variant_for(KernelClass::Election) == ParVariant::LockFree
-        && policy.use_par_for(KernelClass::Election, cg.num_edges());
-    let mut dsu = if lockfree {
-        ElectionDsu::LockFree(AtomicDisjointSets::new(n))
-    } else {
-        ElectionDsu::Seq(MinDsu::new(n))
-    };
-    // Lock-free election scratch: allocated once here, reset per round (the
-    // drain swaps every hit slot back to NONE_KEY; winners are refilled).
-    let mut lf_scratch = lockfree.then(|| LockFreeElection::new(n));
+    let mut dsu = MinDsu::new(n);
+    // Election scratch: one packed key per root, allocated once here and
+    // drained back to NONE_KEY by every round's contraction.
+    let mut best = vec![NONE_KEY; n];
     let mut frozen = vec![false; n];
     // Freeze marks surviving from a previous invocation stay sticky.
     for f in cg.frozen() {
@@ -165,84 +125,35 @@ pub fn local_boruvka_with(
     let mut prev_cost: Option<u64> = None;
     loop {
         // --- Min-edge election ------------------------------------------
-        // Roots are fully compressed up front so the sweep — sequential,
-        // chunked across workers, or atomic — resolves them in ~one hop.
         dsu.compress_all();
         let scanned = worklist.len() as u64;
-        let best_owned: Vec<Option<Winner>>;
-        let best: &[Option<Winner>] = match &mut lf_scratch {
-            Some(lf) => {
-                let adsu = match &dsu {
-                    ElectionDsu::LockFree(d) => d,
-                    ElectionDsu::Seq(_) => unreachable!("scratch without lock-free DSU"),
-                };
-                lf.elect(&worklist, policy, adsu, &frozen, freeze);
-                &lf.winners
-            }
-            None => {
-                let dsu_seq = match &dsu {
-                    ElectionDsu::Seq(d) => d,
-                    ElectionDsu::LockFree(_) => unreachable!("lock-free mode without scratch"),
-                };
-                best_owned = if policy.use_par_for(KernelClass::Election, worklist.len()) {
-                    let frozen_ref = &frozen;
-                    let rows: &[CEdgeLocal] = &worklist;
-                    let partials: Vec<Vec<Option<Winner>>> = policy
-                        .chunk_ranges(rows.len())
-                        .into_par_iter()
-                        .map(|(lo, hi)| {
-                            let mut part = vec![None; n];
-                            elect_rows(&rows[lo..hi], lo, dsu_seq, frozen_ref, freeze, &mut part);
-                            part
-                        })
-                        .collect();
-                    // Merge partial tables in chunk order; the (edge, row)
-                    // key makes the merge associative, so this equals the
-                    // sequential sweep.
-                    let mut best = vec![None; n];
-                    for part in partials {
-                        for (slot, cand) in best.iter_mut().zip(part) {
-                            if let Some(w) = cand {
-                                take_winner(slot, w);
-                            }
-                        }
-                    }
-                    best
-                } else {
-                    let mut best = vec![None; n];
-                    elect_rows(&worklist, 0, dsu_seq, &frozen, freeze, &mut best);
-                    best
-                };
-                &best_owned
-            }
-        };
+        elect(&worklist, &dsu, &frozen, freeze, &mut best);
 
         // --- Contraction / freezing -------------------------------------
         // Recheck policy re-derives freezes every round.
         if freeze == FreezePolicy::Recheck {
-            for f in frozen.iter_mut() {
-                *f = false;
-            }
+            frozen.fill(false);
         }
         let mut unions = 0u64;
-        let active = best.iter().filter(|s| s.is_some()).count() as u64;
+        let mut active = 0u64;
         // Winner slots are visited in root-index order (not election order):
         // the elected edges form a forest, so any visit order unions the
         // same edge set — the fixed order keeps the kernel deterministic.
-        for r in 0..n as u32 {
-            let (win, _, ea, eb) = match best[r as usize] {
-                Some(w) => w,
-                None => continue,
-            };
-            // Endpoints were resolved to roots during election; re-resolve
-            // (cheap, path-halved) since earlier unions this round may have
+        for slot in best.iter_mut() {
+            let key = std::mem::replace(slot, NONE_KEY);
+            if key == NONE_KEY {
+                continue;
+            }
+            active += 1;
+            let win = worklist[row_of(key) as usize];
+            // Re-resolve the endpoints: earlier unions this round may have
             // merged them further.
-            let ra = ea.map(|i| dsu.find(i));
-            let rb = eb.map(|i| dsu.find(i));
+            let ra = win.a.map(|i| dsu.find(i));
+            let rb = win.b.map(|i| dsu.find(i));
             match (ra, rb) {
                 (Some(x), Some(y)) => {
                     if x != y && dsu.union(x, y) {
-                        msf_edges.push(win);
+                        msf_edges.push(win.orig);
                         unions += 1;
                         // Sticky: a merge involving a frozen side freezes
                         // the result.
@@ -288,11 +199,12 @@ pub fn local_boruvka_with(
 
     // --- Commit the contraction to the holding ---------------------------
     // New id of a resident component = smallest member id = resident[root].
+    dsu.compress_all();
     let mut relabel = Vec::new();
     let mut new_resident = Vec::with_capacity(n);
     let mut new_frozen = Vec::new();
     for i in 0..n as u32 {
-        let root = dsu.find(i);
+        let root = dsu.find_const(i);
         let new_id = resident[root as usize];
         if root == i {
             new_resident.push(new_id);
@@ -304,14 +216,11 @@ pub fn local_boruvka_with(
             relabel.push((resident[i as usize], new_id));
         }
     }
-    // dsu is path-compressed by the loop above; a const find suffices.
-    let resident_ref = &resident;
-    let dsu_ref = &dsu;
-    cg.relabel_with(policy, |c| match resident_ref.binary_search(&c) {
-        Ok(i) => resident_ref[dsu_ref.find_const(i as u32) as usize],
-        Err(_) => c,
+    cg.relabel(|c| match slots.get(c) {
+        Some(i) => resident[dsu.find_const(i) as usize],
+        None => c,
     });
-    cg.remove_self_edges_with(policy);
+    cg.remove_self_edges();
     cg.set_resident(new_resident);
     cg.set_frozen(new_frozen);
 
@@ -336,143 +245,32 @@ pub fn boruvka_msf(el: &mnd_graph::EdgeList) -> MsfResult {
     MsfResult::from_edges(el.num_vertices(), out.msf_edges)
 }
 
-/// A per-root election winner: the elected original edge, its worklist row
-/// (tie-break making the election order-free), and the edge's local
-/// endpoint indices (election-time roots in the chunk-merge plane, raw
-/// locals in the lock-free drain — contraction re-resolves through the
-/// union-find either way, so the two are interchangeable).
-type Winner = (WEdge, u32, Option<u32>, Option<u32>);
-
-/// The per-invocation union-find in the flavour the election mode needs:
-/// sequential [`MinDsu`] for the seq/chunk-merge plane, the concurrent
-/// [`AtomicDisjointSets`] for the lock-free plane. Both orient unions
-/// larger-root-under-smaller, so roots — and therefore every output byte —
-/// are identical across modes.
-enum ElectionDsu {
-    Seq(MinDsu),
-    LockFree(AtomicDisjointSets),
+/// As [`local_boruvka`]. The policy carries no settings; this entry point
+/// remains only because the `perfbench/` harness calls it.
+pub fn local_boruvka_with(
+    cg: &mut CGraph,
+    _policy: &KernelPolicy,
+    excp: ExcpCond,
+    freeze: FreezePolicy,
+    stop: StopPolicy,
+) -> LocalOutput {
+    local_boruvka(cg, excp, freeze, stop)
 }
 
-impl ElectionDsu {
-    #[inline]
-    fn find(&mut self, x: u32) -> u32 {
-        match self {
-            ElectionDsu::Seq(d) => d.find(x),
-            ElectionDsu::LockFree(d) => d.find(x),
-        }
-    }
-
-    #[inline]
-    fn find_const(&self, x: u32) -> u32 {
-        match self {
-            ElectionDsu::Seq(d) => d.find_const(x),
-            // The atomic find is interior-mutable and thread-safe, so it
-            // serves as the shared-reference find (relabel workers may call
-            // this concurrently).
-            ElectionDsu::LockFree(d) => d.find(x),
-        }
-    }
-
-    #[inline]
-    fn union(&mut self, a: u32, b: u32) -> bool {
-        match self {
-            ElectionDsu::Seq(d) => d.union(a, b),
-            ElectionDsu::LockFree(d) => d.union(a, b),
-        }
-    }
-
-    fn compress_all(&mut self) {
-        match self {
-            ElectionDsu::Seq(d) => d.compress_all(),
-            ElectionDsu::LockFree(d) => d.compress_all(),
-        }
-    }
-}
-
-/// Reusable lock-free election scratch: one packed atomic word per root
-/// plus the decoded winner table the shared contraction loop reads. Both
-/// buffers are allocated once per invocation; [`LockFreeElection::elect`]
-/// leaves every `best` slot back at [`NONE_KEY`], so rounds reuse the
-/// arrays without reallocating.
-struct LockFreeElection {
-    best: Vec<AtomicU64>,
-    winners: Vec<Option<Winner>>,
-}
-
-impl LockFreeElection {
-    fn new(n: usize) -> Self {
-        LockFreeElection {
-            best: (0..n).map(|_| AtomicU64::new(NONE_KEY)).collect(),
-            winners: vec![None; n],
-        }
-    }
-
-    /// One round's election: a chunked parallel sweep CASes packed
-    /// `(weight << 32) | row` keys into `best` (weight ties fall back to
-    /// the full `(edge, row)` order, so winners equal the sequential
-    /// sweep's for any interleaving), then a sequential drain decodes the
-    /// winner table — swapping each hit slot back to [`NONE_KEY`], which
-    /// is exactly the reset the next round needs.
-    fn elect(
-        &mut self,
-        rows: &[CEdgeLocal],
-        policy: &KernelPolicy,
-        dsu: &AtomicDisjointSets,
-        frozen: &[bool],
-        freeze: FreezePolicy,
-    ) {
-        let best = &self.best;
-        let orig_of = |row: u32| rows[row as usize].orig;
-        policy
-            .chunk_ranges(rows.len())
-            .into_par_iter()
-            .for_each(|(lo, hi)| {
-                for (k, e) in rows[lo..hi].iter().enumerate() {
-                    let row = (lo + k) as u32;
-                    // No unions race the election (contraction is a later,
-                    // sequential phase), so every concurrent find resolves
-                    // to the round's unique root.
-                    let ra = e.a.map(|i| dsu.find(i));
-                    let rb = e.b.map(|i| dsu.find(i));
-                    if let (Some(x), Some(y)) = (ra, rb) {
-                        if x == y {
-                            continue; // self edge at current contraction
-                        }
-                    }
-                    let key = pack(e.orig.w, row);
-                    for r in [ra, rb].into_iter().flatten() {
-                        if frozen[r as usize] && freeze == FreezePolicy::Sticky {
-                            continue;
-                        }
-                        fetch_min_edge(&best[r as usize], key, &orig_of);
-                    }
-                }
-            });
-        for (slot, win) in self.best.iter().zip(self.winners.iter_mut()) {
-            let key = slot.swap(NONE_KEY, std::sync::atomic::Ordering::Relaxed);
-            *win = (key != NONE_KEY).then(|| {
-                let row = row_of(key);
-                let e = &rows[row as usize];
-                (e.orig, row, e.a, e.b)
-            });
-        }
-    }
-}
-
-/// Elects over `rows` (worklist rows starting at global index `lo`) into
-/// `best`, one slot per resident root. Reads the union-find through
-/// [`MinDsu::find_const`] — callers compress fully first — so chunks can
-/// run on rayon workers against the shared `&MinDsu`.
-fn elect_rows(
+/// One round's min-edge election: leaves in `best[r]` the packed key of
+/// root `r`'s lightest candidate row under `((w, u, v), row)`, or
+/// [`NONE_KEY`] when it has none. `best` must come in all [`NONE_KEY`].
+/// Reads the union-find through [`MinDsu::find_const`] — callers compress
+/// fully first.
+fn elect(
     rows: &[CEdgeLocal],
-    lo: usize,
     dsu: &MinDsu,
     frozen: &[bool],
     freeze: FreezePolicy,
-    best: &mut [Option<Winner>],
+    best: &mut [u64],
 ) {
-    for (k, e) in rows.iter().enumerate() {
-        let row = (lo + k) as u32;
+    let orig_of = |row: u32| rows[row as usize].orig;
+    for (row, e) in rows.iter().enumerate() {
         let ra = e.a.map(|i| dsu.find_const(i));
         let rb = e.b.map(|i| dsu.find_const(i));
         if let (Some(x), Some(y)) = (ra, rb) {
@@ -480,25 +278,16 @@ fn elect_rows(
                 continue; // self edge at current contraction
             }
         }
+        let key = pack(e.orig.w, row as u32);
         for r in [ra, rb].into_iter().flatten() {
             if frozen[r as usize] && freeze == FreezePolicy::Sticky {
                 continue;
             }
-            take_winner(&mut best[r as usize], (e.orig, row, ra, rb));
+            let slot = &mut best[r as usize];
+            if *slot == NONE_KEY || precedes(key, *slot, &orig_of) {
+                *slot = key;
+            }
         }
-    }
-}
-
-/// Replaces `slot` with `cand` if the candidate's `(edge, row)` key is
-/// smaller — the total order both the sweep and the chunk merge use.
-#[inline]
-fn take_winner(slot: &mut Option<Winner>, cand: Winner) {
-    let lighter = match slot {
-        Some((cur, cur_row, _, _)) => (cand.0, cand.1) < (*cur, *cur_row),
-        None => true,
-    };
-    if lighter {
-        *slot = Some(cand);
     }
 }
 

@@ -38,11 +38,9 @@ use mnd_graph::partition::VertexRange;
 use mnd_graph::types::{VertexId, WEdge};
 use mnd_graph::{CsrGraph, EdgeList};
 use mnd_wire::Wire;
-use rayon::prelude::*;
 
 use crate::idhash::id_hash;
-use crate::lockfree::{as_atomic_u64, SlotLookup};
-use crate::policy::{KernelClass, KernelPolicy, ParVariant};
+use crate::slot::SlotLookup;
 
 /// A component identifier. Components are named by the smallest original
 /// vertex they contain, so ids stay globally consistent without any central
@@ -141,37 +139,18 @@ fn remap_ids(ids: &mut Vec<CompId>, map: &impl Fn(CompId) -> CompId) {
 }
 
 /// Rewrites every row's endpoints through `map`, keeping the per-row
-/// canonical `a <= b`. Chunked across rayon workers above the policy's
-/// `Relabel` crossover; rows are independent, so any chunking produces the
-/// sequential result.
-fn remap_rows_with(
-    policy: &KernelPolicy,
-    ea: &mut [CompId],
-    eb: &mut [CompId],
-    map: &(impl Fn(CompId) -> CompId + Sync),
-) {
-    let remap_rows = |ca: &mut [CompId], cb: &mut [CompId]| {
-        for (a, b) in ca.iter_mut().zip(cb.iter_mut()) {
-            let na = map(*a);
-            let nb = map(*b);
-            if na <= nb {
-                *a = na;
-                *b = nb;
-            } else {
-                *a = nb;
-                *b = na;
-            }
+/// canonical `a <= b`.
+fn remap_rows(ea: &mut [CompId], eb: &mut [CompId], map: &impl Fn(CompId) -> CompId) {
+    for (a, b) in ea.iter_mut().zip(eb.iter_mut()) {
+        let na = map(*a);
+        let nb = map(*b);
+        if na <= nb {
+            *a = na;
+            *b = nb;
+        } else {
+            *a = nb;
+            *b = na;
         }
-    };
-    if policy.use_par_for(KernelClass::Relabel, ea.len()) {
-        let chunk = policy.chunk_rows.max(1);
-        let pairs: Vec<(&mut [CompId], &mut [CompId])> =
-            ea.chunks_mut(chunk).zip(eb.chunks_mut(chunk)).collect();
-        pairs
-            .into_par_iter()
-            .for_each(|(ca, cb)| remap_rows(ca, cb));
-    } else {
-        remap_rows(ea, eb);
     }
 }
 
@@ -193,7 +172,7 @@ pub struct CGraph {
     /// Reusable index buffer for in-place sorts; never part of identity.
     scratch: Vec<u32>,
     /// Reusable per-resident incident-count column (see
-    /// [`CGraph::incident_counts_with`]); never part of identity.
+    /// [`CGraph::incident_counts`]); never part of identity.
     counts: Vec<u64>,
 }
 
@@ -374,15 +353,8 @@ impl CGraph {
     /// Applies a component renaming to **all** edge endpoints. `map` returns
     /// the new id of a component (identity for unknown ids). Resident ids
     /// and frozen marks are remapped too.
-    pub fn relabel(&mut self, map: impl Fn(CompId) -> CompId + Sync) {
-        self.relabel_with(&KernelPolicy::default(), map);
-    }
-
-    /// As [`CGraph::relabel`], with the endpoint sweep chunked across rayon
-    /// workers when the policy says the holding is big enough. Rows are
-    /// independent, so any chunking produces the sequential result.
-    pub fn relabel_with(&mut self, policy: &KernelPolicy, map: impl Fn(CompId) -> CompId + Sync) {
-        remap_rows_with(policy, &mut self.ea, &mut self.eb, &map);
+    pub fn relabel(&mut self, map: impl Fn(CompId) -> CompId) {
+        remap_rows(&mut self.ea, &mut self.eb, &map);
         remap_ids(&mut self.resident, &map);
         remap_ids(&mut self.frozen, &map);
     }
@@ -390,57 +362,23 @@ impl CGraph {
     /// Renames *ghost* endpoints: every non-resident endpoint `c` with
     /// `rename(c) == Some(new)` becomes `new`; resident endpoints stay as
     /// they are, so the resident column is untouched. Equivalent to
-    /// [`CGraph::relabel_with`] under the map "resident ids fixed, else
-    /// `rename` or identity", but `rename` is probed first and residency
-    /// (an O(1) [`SlotLookup`] probe on dense holdings) only on a hit.
-    pub(crate) fn relabel_ghosts_with(
-        &mut self,
-        policy: &KernelPolicy,
-        rename: impl Fn(CompId) -> Option<CompId> + Sync,
-    ) {
+    /// [`CGraph::relabel`] under the map "resident ids fixed, else `rename`
+    /// or identity", but `rename` is probed first and residency (an O(1)
+    /// [`SlotLookup`] probe on dense holdings) only on a hit.
+    pub(crate) fn relabel_ghosts(&mut self, rename: impl Fn(CompId) -> Option<CompId>) {
         let resident = SlotLookup::new(&self.resident);
         let map = |c: CompId| match rename(c) {
             Some(new) if !resident.contains(c) => new,
             _ => c,
         };
-        remap_rows_with(policy, &mut self.ea, &mut self.eb, &map);
+        remap_rows(&mut self.ea, &mut self.eb, &map);
         remap_ids(&mut self.frozen, &map);
     }
 
     /// In-place column compaction: keeps row `i` iff `keep(i)`, preserving
-    /// order. Below the policy's crossover this is the allocation-free
-    /// write-cursor sweep; above it the predicate is evaluated over row
-    /// chunks on rayon workers first and the (memory-bound) compaction
-    /// follows the precomputed flags, so any chunking yields the
-    /// sequential result.
-    fn retain_rows_with(
-        &mut self,
-        policy: &KernelPolicy,
-        keep: impl Fn(&Self, usize) -> bool + Sync,
-    ) {
+    /// order, with an allocation-free write cursor.
+    fn retain_rows(&mut self, keep: impl Fn(&Self, usize) -> bool) {
         let n = self.ea.len();
-        if policy.use_par_for(KernelClass::Reduce, n) {
-            let this: &Self = self;
-            let flags: Vec<Vec<bool>> = policy
-                .chunk_ranges(n)
-                .into_par_iter()
-                .map(|(lo, hi)| (lo..hi).map(|i| keep(this, i)).collect())
-                .collect();
-            let mut w = 0usize;
-            let mut flat = flags.iter().flatten();
-            for i in 0..n {
-                if *flat.next().expect("one flag per row") {
-                    if w != i {
-                        self.ea[w] = self.ea[i];
-                        self.eb[w] = self.eb[i];
-                        self.eorig[w] = self.eorig[i];
-                    }
-                    w += 1;
-                }
-            }
-            self.truncate_rows(w);
-            return;
-        }
         let mut w = 0usize;
         for i in 0..n {
             if keep(self, i) {
@@ -462,7 +400,7 @@ impl CGraph {
     /// write-cursor path.
     pub fn retain_edge_rows(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.num_edges(), "one flag per edge row");
-        self.retain_rows_with(&KernelPolicy::default(), |_, i| keep[i]);
+        self.retain_rows(|_, i| keep[i]);
     }
 
     /// Drops every row past `w` from the three columns.
@@ -501,26 +439,16 @@ impl CGraph {
     }
 
     /// Sorts the edge rows by `key` without allocating a row vector: an
-    /// index permutation is built in the reusable scratch buffer, sorted
-    /// (sequentially or, above the policy crossover, with the rayon
-    /// chunk-sort-and-merge), and applied across the columns by
-    /// cycle-walking. The sort key is made injective by appending the row
-    /// index, so the permutation — and therefore the row order — is the
-    /// same whichever path ran.
-    fn sort_rows_by_key<K: Ord + Send>(
-        &mut self,
-        policy: &KernelPolicy,
-        key: impl Fn(&Self, usize) -> K + Sync,
-    ) {
+    /// index permutation is built in the reusable scratch buffer, sorted,
+    /// and applied across the columns by cycle-walking. The sort key is made
+    /// injective by appending the row index, so the row order is fully
+    /// determined.
+    fn sort_rows_by_key<K: Ord>(&mut self, key: impl Fn(&Self, usize) -> K) {
         let n = self.ea.len();
         let mut perm = std::mem::take(&mut self.scratch);
         perm.clear();
         perm.extend(0..n as u32);
-        if policy.use_par_for(KernelClass::Reduce, n) {
-            perm.par_sort_unstable_by_key(|&i| (key(self, i as usize), i));
-        } else {
-            perm.sort_unstable_by_key(|&i| (key(self, i as usize), i));
-        }
+        perm.sort_unstable_by_key(|&i| (key(self, i as usize), i));
         self.apply_perm(&mut perm);
         self.scratch = perm;
     }
@@ -528,12 +456,7 @@ impl CGraph {
     /// Removes self edges (endpoints in the same component) — the paper's
     /// `removeSelfEdges` (§3.3). In-place compaction.
     pub fn remove_self_edges(&mut self) {
-        self.remove_self_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::remove_self_edges`].
-    pub fn remove_self_edges_with(&mut self, policy: &KernelPolicy) {
-        self.retain_rows_with(policy, |cg, i| cg.ea[i] != cg.eb[i]);
+        self.retain_rows(|cg, i| cg.ea[i] != cg.eb[i]);
     }
 
     /// Keeps only the lightest edge between every component pair — the
@@ -547,13 +470,6 @@ impl CGraph {
     /// across rounds: allocating a fresh table per call made peak RSS
     /// creep from run to run under glibc's allocator.
     pub fn remove_multi_edges(&mut self) {
-        self.remove_multi_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::remove_multi_edges`]: the compaction and the
-    /// (rare) final sort follow the policy's `Reduce` crossover; the
-    /// hash-min pass itself is one sequential sweep.
-    pub fn remove_multi_edges_with(&mut self, policy: &KernelPolicy) {
         debug_assert!(
             self.ea.iter().zip(&self.eb).all(|(a, b)| a != b),
             "run remove_self_edges first"
@@ -571,7 +487,7 @@ impl CGraph {
             for &row in table.iter().filter(|&&r| r != NO_ROW) {
                 keep[(row / 32) as usize] |= 1 << (row % 32);
             }
-            self.retain_rows_with(policy, |_, i| keep[i / 32] >> (i % 32) & 1 != 0);
+            self.retain_rows(|_, i| keep[i / 32] >> (i % 32) & 1 != 0);
         }
         self.scratch = buf;
         // Canonical order is by key; the pair breaks key ties (two rows
@@ -579,11 +495,11 @@ impl CGraph {
         // followed by a stable key sort would.
         let sort_key = |cg: &Self, i: usize| (cg.eorig[i].key(), cg.ea[i], cg.eb[i]);
         if !(1..self.ea.len()).all(|i| sort_key(self, i - 1) <= sort_key(self, i)) {
-            self.sort_rows_by_key(policy, sort_key);
+            self.sort_rows_by_key(sort_key);
         }
     }
 
-    /// The hash-min pass of [`CGraph::remove_multi_edges_with`]: fills
+    /// The hash-min pass of [`CGraph::remove_multi_edges`]: fills
     /// `table` (a power of two long, all [`NO_ROW`], with room for every
     /// row) as an open-addressing table keyed by each row's packed
     /// `(a << 32) | b` pair, probed linearly, until every pair's slot
@@ -618,101 +534,38 @@ impl CGraph {
     /// scratch, each original-edge run is compacted to its first row, then
     /// canonical order is restored.
     pub fn dedup_edges(&mut self) {
-        self.dedup_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::dedup_edges`].
-    pub fn dedup_edges_with(&mut self, policy: &KernelPolicy) {
-        self.sort_rows_by_key(policy, |cg, i| {
-            (cg.eorig[i].u, cg.eorig[i].v, cg.ea[i], cg.eb[i])
-        });
-        self.retain_rows_with(policy, |cg, i| {
+        self.sort_rows_by_key(|cg, i| (cg.eorig[i].u, cg.eorig[i].v, cg.ea[i], cg.eb[i]));
+        self.retain_rows(|cg, i| {
             i == 0 || cg.eorig[i].u != cg.eorig[i - 1].u || cg.eorig[i].v != cg.eorig[i - 1].v
         });
-        self.sort_edges_with(policy);
+        self.sort_edges();
     }
 
     /// Canonical deterministic edge order (by original-edge key).
     pub fn sort_edges(&mut self) {
-        self.sort_edges_with(&KernelPolicy::default());
-    }
-
-    /// Policy-aware [`CGraph::sort_edges`].
-    pub fn sort_edges_with(&mut self, policy: &KernelPolicy) {
-        self.sort_rows_by_key(policy, |cg, i| cg.eorig[i].key());
+        self.sort_rows_by_key(|cg, i| cg.eorig[i].key());
     }
 
     /// Per-resident-component incident-edge counts (slot `i` counts edges
     /// touching `resident()[i]`; a self edge counts twice, matching a
-    /// per-endpoint tally). The column lives in reusable scratch so the
-    /// repeated callers — device splitting, skew estimation, segment
-    /// choice — stop rebuilding a hash map per call. Above the `Count`
-    /// crossover the tally follows the policy's count variant: lock-free
-    /// `fetch_add`s straight into the scratch column (viewed atomically,
-    /// slots resolved through the dense [`SlotLookup`]) or the chunked
-    /// reduction whose per-chunk partial counts are summed in chunk order.
-    /// Additions commute, so every path is byte-identical.
-    pub fn incident_counts_with(&mut self, policy: &KernelPolicy) -> &[u64] {
-        let n = self.resident.len();
-        let rows = self.ea.len();
+    /// per-endpoint tally). Endpoints resolve to slots through
+    /// [`SlotLookup`]. The column lives in reusable scratch, so the repeated
+    /// callers — device splitting, skew estimation, segment choice — share
+    /// one allocation per holding.
+    pub fn incident_counts(&mut self) -> &[u64] {
         let mut counts = std::mem::take(&mut self.counts);
         counts.clear();
-        counts.resize(n, 0);
-        let tally = |range: (usize, usize), counts: &mut [u64]| {
-            for i in range.0..range.1 {
-                for c in [self.ea[i], self.eb[i]] {
-                    if let Ok(slot) = self.resident.binary_search(&c) {
-                        counts[slot] += 1;
-                    }
+        counts.resize(self.resident.len(), 0);
+        let slots = SlotLookup::new(&self.resident);
+        for (&a, &b) in self.ea.iter().zip(&self.eb) {
+            for c in [a, b] {
+                if let Some(slot) = slots.get(c) {
+                    counts[slot as usize] += 1;
                 }
             }
-        };
-        if policy.use_par_for(KernelClass::Count, rows) {
-            match policy.variant_for(KernelClass::Count) {
-                ParVariant::LockFree => {
-                    let lookup = SlotLookup::new(&self.resident);
-                    let slots = as_atomic_u64(&mut counts);
-                    policy
-                        .chunk_ranges(rows)
-                        .into_par_iter()
-                        .for_each(|(lo, hi)| {
-                            for i in lo..hi {
-                                for c in [self.ea[i], self.eb[i]] {
-                                    if let Some(slot) = lookup.get(c) {
-                                        slots[slot as usize]
-                                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        });
-                }
-                ParVariant::ChunkMerge => {
-                    let partials: Vec<Vec<u64>> = policy
-                        .chunk_ranges(rows)
-                        .into_par_iter()
-                        .map(|range| {
-                            let mut part = vec![0u64; n];
-                            tally(range, &mut part);
-                            part
-                        })
-                        .collect();
-                    for part in partials {
-                        for (dst, v) in counts.iter_mut().zip(part) {
-                            *dst += v;
-                        }
-                    }
-                }
-            }
-        } else {
-            tally((0, rows), &mut counts);
         }
         self.counts = counts;
         &self.counts
-    }
-
-    /// [`CGraph::incident_counts_with`] under the default policy.
-    pub fn incident_counts(&mut self) -> &[u64] {
-        self.incident_counts_with(&KernelPolicy::default())
     }
 
     /// Absorbs another holding: unions resident sets, concatenates edges,
@@ -890,9 +743,7 @@ mod tests {
         let el = gen::gnm(60, 300, 17);
         let mut cg = CGraph::from_edge_list(&el);
         let mut rows = cg.edges_vec();
-        cg.sort_rows_by_key(&KernelPolicy::default(), |cg, i| {
-            (cg.eb[i], cg.ea[i], cg.eorig[i].key())
-        });
+        cg.sort_rows_by_key(|cg, i| (cg.eb[i], cg.ea[i], cg.eorig[i].key()));
         rows.sort_unstable_by_key(|e| (e.b, e.a, e.key()));
         assert_eq!(cg.edges_vec(), rows);
         // And the scratch buffer is reused across calls, not regrown.

@@ -36,18 +36,10 @@ pub struct ReduceStats {
 /// Runs self-edge removal followed by multi-edge removal on a holding,
 /// entirely in place.
 pub fn reduce_holding(cg: &mut CGraph) -> ReduceStats {
-    reduce_holding_with(cg, &KernelPolicy::default())
-}
-
-/// As [`reduce_holding`], under an explicit (typically calibrated)
-/// [`KernelPolicy`]: above the crossover the compactions evaluate their
-/// predicates over row chunks on rayon workers and a needed final sort uses
-/// the parallel permutation sort. Oracle-identical for any chunking.
-pub fn reduce_holding_with(cg: &mut CGraph, policy: &KernelPolicy) -> ReduceStats {
     let before = cg.num_edges() as u64;
-    cg.remove_self_edges_with(policy);
+    cg.remove_self_edges();
     let after_self = cg.num_edges() as u64;
-    cg.remove_multi_edges_with(policy);
+    cg.remove_multi_edges();
     let after = cg.num_edges() as u64;
     ReduceStats {
         edges_before: before,
@@ -55,6 +47,12 @@ pub fn reduce_holding_with(cg: &mut CGraph, policy: &KernelPolicy) -> ReduceStat
         multi_removed: after_self - after,
         edges_after: after,
     }
+}
+
+/// As [`reduce_holding`]. The policy carries no settings; this entry point
+/// remains only because the `perfbench/` harness calls it.
+pub fn reduce_holding_with(cg: &mut CGraph, _policy: &KernelPolicy) -> ReduceStats {
+    reduce_holding(cg)
 }
 
 /// Normalises the ghost-parent message a processor sends — the `(old, new)`
@@ -72,31 +70,30 @@ pub fn ghost_parent_message(msg: &mut Vec<(CompId, CompId)>) {
 /// matching an `old` id is renamed to `new`. Resident ids are left alone —
 /// renames of resident components were already committed by the local
 /// kernel; this call is specifically for ghost (non-resident) endpoints.
-pub fn apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
-    apply_ghost_parents_with(cg, &KernelPolicy::default(), updates);
-}
-
-/// As [`apply_ghost_parents`], with the endpoint relabel sweep chunked
-/// across rayon workers above the policy crossover (rows are independent,
-/// so any chunking produces the sequential result).
 ///
 /// One call is one sweep of the holding, however many peers the pairs came
 /// from: the driver concatenates every received bucket into `updates`.
 /// Each `old` id appears once (were it repeated, the last pair would win)
 /// and no `new` id is itself an `old` id: renames are applied once, never
 /// chained.
-pub fn apply_ghost_parents_with(
-    cg: &mut CGraph,
-    policy: &KernelPolicy,
-    updates: &[(CompId, CompId)],
-) {
+pub fn apply_ghost_parents(cg: &mut CGraph, updates: &[(CompId, CompId)]) {
     if updates.is_empty() {
         return;
     }
     let mut map: IdMap<CompId, CompId> =
         IdMap::with_capacity_and_hasher(updates.len(), Default::default());
     map.extend(updates.iter().copied());
-    cg.relabel_ghosts_with(policy, |c| map.get(&c).copied());
+    cg.relabel_ghosts(|c| map.get(&c).copied());
+}
+
+/// As [`apply_ghost_parents`]. The policy carries no settings; this entry
+/// point remains only because the `perfbench/` harness calls it.
+pub fn apply_ghost_parents_with(
+    cg: &mut CGraph,
+    _policy: &KernelPolicy,
+    updates: &[(CompId, CompId)],
+) {
+    apply_ghost_parents(cg, updates);
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 # Repo verification gate: formatting, lints, then the tier-1 suite
 # (ROADMAP.md: `cargo build --release && cargo test -q`), and — in full
 # mode — the bench smoke, the chaos/resilience recovery grids, the
-# checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot.
+# checkpoint/serve/comm/emst sweeps, and a fresh perf snapshot written to
+# target/ (the committed BENCH_*.json baselines are never touched).
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick  lints + debug tests only: skips the release build, the
@@ -80,7 +81,12 @@ echo "==> emst sweep smoke (geometric presets, brute-force EMST oracle)"
 cargo run --release -q -p mnd-bench --bin repro -- \
   --scale 65536 --nodes 4 emst-sweep
 
-echo "==> perf snapshot (BENCH_9.json)"
-cargo run --release -q -p mnd-bench --bin perfsnap -- BENCH_9.json
+# The snapshot goes under target/, never over a committed BENCH_*.json:
+# bench_check.sh diffs a fresh snapshot against the committed baseline,
+# and a baseline regenerated from the same code would make that gate
+# vacuous.
+echo "==> perf snapshot (target/perfsnap-verify.json)"
+mkdir -p target
+cargo run --release -q -p mnd-bench --bin perfsnap -- target/perfsnap-verify.json
 
 echo "verify: OK"

@@ -4,10 +4,12 @@
 //! `filter_map` / `map` / `collect` combinators.
 //!
 //! Work is executed on `std::thread::scope` threads in contiguous chunks,
-//! so lock-free algorithms (e.g. the atomic union-find election in
-//! `mnd-kernels::parallel`) are exercised under real cross-thread
-//! interleaving, and results are concatenated in chunk order so
-//! order-preserving combinators match rayon's semantics.
+//! so lock-free code is exercised under real cross-thread interleaving,
+//! and results are concatenated in chunk order so order-preserving
+//! combinators match rayon's semantics.
+//!
+//! No workspace crate calls this shim any more; it stays only while
+//! `mnd-kernels` still declares the dependency (see `shims/README.md`).
 
 use std::ops::Range;
 
