@@ -18,8 +18,6 @@
 //! the BSP formulation (`mnd_pregel::bfs`) — the same communication
 //! compression MND-MST gets for MST.
 
-use std::sync::Arc;
-
 use mnd_device::NodePlatform;
 use mnd_graph::partition::{owner_of, partition_1d};
 use mnd_graph::types::VertexId;
@@ -51,7 +49,7 @@ pub fn distributed_bfs(
 ) -> BfsReport {
     assert!(source < el.num_vertices(), "source out of range");
     assert!(nranks >= 1);
-    let csr = Arc::new(CsrGraph::from_edge_list(el));
+    let csr = CsrGraph::from_edge_list(el);
     let cluster = Cluster::new(nranks, platform.network.scaled(sim_scale));
     let outcomes = cluster.run(|comm| rank_bfs(comm, &csr, source, platform, sim_scale));
 

@@ -101,6 +101,14 @@ impl GhostDirectory {
 /// all of `new`'s `(old, new)` pairs are appended to bucket `r`, olds
 /// ascending.
 ///
+/// The cost is linear in the rows, the relabels and the resident count.
+/// Each row end first probes whether its neighbour is resident (the common
+/// case after a local contraction, and then nothing is sent). Each new
+/// id's run of olds comes from a counting sort of `relabels` keyed by the
+/// new id's resident slot. Since `relabels` is sorted by old id, each run
+/// stays ascending. A new id that is not resident here is allowed. Such
+/// ids go through a small sorted fallback table.
+///
 /// Returns `nranks` buckets (the own-rank bucket stays empty).
 pub fn relabel_buckets(
     cg: &CGraph,
@@ -117,44 +125,94 @@ pub fn relabel_buckets(
     if relabels.is_empty() {
         return buckets;
     }
-    // `(new, old)` sorted, so every `new` owns one run of its olds.
-    let mut by_new: Vec<(CompId, CompId)> = relabels.iter().map(|&(o, n)| (n, o)).collect();
-    by_new.sort_unstable();
-    let runs_len = 1 + by_new.windows(2).filter(|w| w[0].0 != w[1].0).count();
-    let mut runs: IdMap<CompId, (u32, u32)> =
-        IdMap::with_capacity_and_hasher(runs_len, Default::default());
-    for (i, &(new, _)) in by_new.iter().enumerate() {
-        runs.entry(new)
-            .and_modify(|run| run.1 = i as u32 + 1)
-            .or_insert((i as u32, i as u32 + 1));
-    }
     let resident = SlotLookup::new(cg.resident());
+    let runs = RenameRuns::new(relabels, &resident, cg.num_resident());
     // `(owner << 32) | new` already sent: each old maps to exactly one new,
     // so this is the `(owner, old)` dedupe.
     let mut seen: IdSet<u64> = IdSet::default();
     let (ea, eb) = cg.endpoint_cols();
     for (&a, &b) in ea.iter().zip(eb) {
         for (this_end, other_end) in [(a, b), (b, a)] {
-            let Some(&(lo, hi)) = runs.get(&this_end) else {
-                continue;
-            };
             if resident.contains(other_end) {
                 continue; // neighbour lives here: already renamed locally
+            }
+            let olds = runs.olds_of(this_end, &resident);
+            if olds.is_empty() {
+                continue;
             }
             let owner = dir.owner(other_end);
             if owner as usize == my_rank {
                 continue;
             }
             if seen.insert(((owner as u64) << 32) | this_end as u64) {
-                buckets[owner as usize].extend(
-                    by_new[lo as usize..hi as usize]
-                        .iter()
-                        .map(|&(n, o)| (o, n)),
-                );
+                buckets[owner as usize].extend(olds.iter().map(|&old| (old, this_end)));
             }
         }
     }
     buckets
+}
+
+/// The old ids renamed into each new id, olds ascending: a counting sort
+/// of the relabels keyed by the new id's resident slot, plus a small
+/// sorted run table for new ids that are not resident here.
+struct RenameRuns {
+    /// `olds[start[s]..start[s + 1]]` were renamed into resident slot `s`.
+    start: Vec<u32>,
+    olds: Vec<CompId>,
+    /// Sorted `(new, old)` pairs whose new id is not resident, as two
+    /// columns.
+    ghost_news: Vec<CompId>,
+    ghost_olds: Vec<CompId>,
+}
+
+impl RenameRuns {
+    /// `relabels` come sorted by old id and the placement is stable, so
+    /// every run's olds stay ascending.
+    fn new(relabels: &[(CompId, CompId)], resident: &SlotLookup, num_resident: usize) -> Self {
+        let mut start = vec![0u32; num_resident + 1];
+        let mut ghost_pairs = Vec::new();
+        for &(old, new) in relabels {
+            match resident.get(new) {
+                Some(slot) => start[slot as usize + 1] += 1,
+                None => ghost_pairs.push((new, old)),
+            }
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut next = start.clone();
+        let mut olds = vec![0; start[num_resident] as usize];
+        for &(old, new) in relabels {
+            if let Some(slot) = resident.get(new) {
+                let at = &mut next[slot as usize];
+                olds[*at as usize] = old;
+                *at += 1;
+            }
+        }
+        ghost_pairs.sort_unstable();
+        let (ghost_news, ghost_olds) = ghost_pairs.into_iter().unzip();
+        RenameRuns {
+            start,
+            olds,
+            ghost_news,
+            ghost_olds,
+        }
+    }
+
+    /// The old ids renamed into `new`, ascending (empty when none).
+    fn olds_of(&self, new: CompId, resident: &SlotLookup) -> &[CompId] {
+        match resident.get(new) {
+            Some(slot) => {
+                let s = slot as usize;
+                &self.olds[self.start[s] as usize..self.start[s + 1] as usize]
+            }
+            None => {
+                let lo = self.ghost_news.partition_point(|&n| n < new);
+                let hi = self.ghost_news.partition_point(|&n| n <= new);
+                &self.ghost_olds[lo..hi]
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 use mnd_graph::gen::{self, cut_fraction, CrawlParams};
 use mnd_graph::io;
 use mnd_graph::partition::{
-    edge_imbalance, owner_of, partition_1d, split_range_by_ratio, VertexRange,
+    edge_imbalance, owner_of, partition_1d, partition_1d_by_degrees, split_range_by_ratio,
+    VertexRange,
 };
 use mnd_graph::transform::{bfs_relabel, largest_component, sort_by_degree};
 use mnd_graph::types::WEdge;
@@ -146,5 +147,108 @@ fn presets_generate_at_extreme_scales() {
             let el = p.generate(scale, 1);
             assert!(el.num_vertices() >= 2, "{} @{scale}", p.name());
         }
+    }
+}
+
+/// The per-vertex greedy walk `partition_1d_by_degrees` performed before
+/// it learned to take whole 64-vertex blocks: the oracle for its cuts.
+fn per_vertex_partition(degrees: &[u64], parts: usize, alpha: f64) -> Vec<VertexRange> {
+    let n = degrees.len() as u32;
+    let total_score = alpha * n as f64 + degrees.iter().sum::<u64>() as f64;
+    let mut out = Vec::with_capacity(parts);
+    let (mut cursor, mut consumed) = (0u32, 0.0f64);
+    for p in 0..parts {
+        let target = (total_score - consumed) / (parts - p) as f64;
+        let start = cursor;
+        let mut score = 0.0f64;
+        while cursor < n {
+            let v_score = alpha + degrees[cursor as usize] as f64;
+            if score > 0.0 && (score + v_score) - target > target - score {
+                break;
+            }
+            score += v_score;
+            cursor += 1;
+            if score >= target {
+                break;
+            }
+        }
+        consumed += score;
+        out.push(VertexRange { start, end: cursor });
+    }
+    if let Some(last) = out.last_mut() {
+        last.end = n;
+    }
+    out
+}
+
+/// Degree vectors mixing zero-degree runs, small degrees and one giant
+/// hub, with lengths that are rarely a multiple of 64.
+fn arb_degrees() -> impl Strategy<Value = Vec<u64>> {
+    (
+        proptest::collection::vec((0u32..4, 0u64..40), 0..900),
+        0usize..1000,
+        0u64..3,
+    )
+        .prop_map(|(raw, hub_at, hub_kind)| {
+            let mut degrees: Vec<u64> = raw
+                .into_iter()
+                .map(|(kind, d)| if kind == 0 { 0 } else { d })
+                .collect();
+            if !degrees.is_empty() {
+                let hub = [0, 10_000, 1 << 40][hub_kind as usize];
+                let at = hub_at % degrees.len();
+                degrees[at] += hub;
+            }
+            degrees
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn block_skip_partition_equals_per_vertex_walk(
+        degrees in arb_degrees(),
+        parts in 1usize..40,
+        zero_run in 0usize..200,
+    ) {
+        // A long all-zero stretch in front exercises zero-degree blocks.
+        let mut degrees = degrees;
+        degrees.splice(0..0, std::iter::repeat_n(0, zero_run));
+        for alpha in [0.0, 1.0] {
+            prop_assert_eq!(
+                partition_1d_by_degrees(&degrees, parts, alpha),
+                per_vertex_partition(&degrees, parts, alpha),
+                "n={} parts={} alpha={}", degrees.len(), parts, alpha
+            );
+        }
+    }
+}
+
+#[test]
+fn block_skip_partition_edge_cases() {
+    let cases: Vec<(Vec<u64>, usize)> = vec![
+        (vec![], 3),
+        (vec![0; 200], 4),
+        (vec![0; 130], 500),
+        (vec![5; 65], 64),
+        (vec![1; 64 * 50 + 13], 16),
+        ((0..10_000u64).map(|v| v % 7).collect(), 16),
+        (
+            {
+                let mut d = vec![1u64; 5000];
+                d[4000] = 1 << 45;
+                d
+            },
+            16,
+        ),
+    ];
+    for (degrees, parts) in cases {
+        assert_eq!(
+            partition_1d_by_degrees(&degrees, parts, 0.0),
+            per_vertex_partition(&degrees, parts, 0.0),
+            "n={} parts={parts}",
+            degrees.len()
+        );
     }
 }

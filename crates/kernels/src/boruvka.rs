@@ -21,15 +21,27 @@
 //! root, the packed key `(weight << 32) | row` of its lightest candidate in
 //! a plain `Vec<u64>` ([`crate::slot`]): weight ties fall back to the full
 //! `((w, u, v), row)` order, so the winner is the unique minimum under the
-//! workspace edge order. The union-find (`MinDsu`) is fully
-//! path-compressed before each sweep, so roots resolve in one hop.
+//! workspace edge order. Worklist rows carry each endpoint's current root
+//! slot (a ghost sentinel for a non-resident endpoint), so the election
+//! reads no union-find at all. After every round that contracts, one
+//! shrink pass moves both ends of each row to their new roots and drops the
+//! rows that became internal self edges; there is no per-round
+//! compression of the whole union-find.
 //!
-//! Contraction then visits winner slots in root-index order — the elected
-//! edges form a forest under the total edge order (mutual elections are
-//! the same edge), so the union *set* is order-independent, and the fixed
-//! order makes the whole kernel deterministic. The visit swaps every slot
-//! back to [`NONE_KEY`], which is exactly the reset the next round needs:
-//! the slot array is allocated once per invocation.
+//! ## Contraction
+//!
+//! Contraction visits the live roots in ascending root-index order, from a
+//! list filtered after every round, so a round costs its live rows and
+//! roots, not the holding's size. The elected edges form a forest under
+//! the total edge order (mutual elections are the same edge), so the union
+//! *set* is order-independent, and the fixed order makes the whole kernel
+//! deterministic. The visit swaps every slot back to [`NONE_KEY`], which is
+//! exactly the reset the next round needs: the slot array is allocated once
+//! per invocation.
+//!
+//! The commit compresses the union-find once, maps every slot to its new
+//! id (the root's member id) through one table, and rewrites the holding's
+//! rows in one order-keeping pass that drops the new self edges.
 
 use mnd_graph::types::WEdge;
 
@@ -97,37 +109,38 @@ pub fn local_boruvka(
         }
     }
 
+    // Data-driven worklist: only edges that can still matter are rescanned.
+    // Every row starts at its endpoints' own slots, which are their roots.
+    let (ea, eb) = cg.endpoint_cols();
+    let mut worklist: Vec<CEdgeLocal> = ea
+        .iter()
+        .zip(eb)
+        .zip(cg.orig_col())
+        .map(|((&a, &b), &orig)| CEdgeLocal {
+            a: index_of(a).unwrap_or(GHOST),
+            b: index_of(b).unwrap_or(GHOST),
+            orig,
+        })
+        .collect();
+
     // BorderVertex: freeze every component touching the border up front.
     if excp == ExcpCond::BorderVertex {
-        for e in cg.iter_edges() {
-            let a_res = index_of(e.a);
-            let b_res = index_of(e.b);
-            if a_res.is_none() || b_res.is_none() {
-                if let Some(i) = a_res.or(b_res) {
-                    frozen[i as usize] = true;
-                }
+        for e in &worklist {
+            if (e.a == GHOST) != (e.b == GHOST) {
+                frozen[e.a.min(e.b) as usize] = true;
             }
         }
     }
 
+    // The roots still live, ascending: contraction visits only these.
+    let mut roots: Vec<u32> = (0..n as u32).collect();
     let mut msf_edges: Vec<WEdge> = Vec::new();
     let mut work = WorkProfile::default();
-    // Data-driven worklist: only edges that can still matter are rescanned.
-    let mut worklist: Vec<CEdgeLocal> = cg
-        .iter_edges()
-        .map(|e| CEdgeLocal {
-            a: index_of(e.a),
-            b: index_of(e.b),
-            orig: e.orig,
-        })
-        .collect();
-
     let mut prev_cost: Option<u64> = None;
     loop {
         // --- Min-edge election ------------------------------------------
-        dsu.compress_all();
         let scanned = worklist.len() as u64;
-        elect(&worklist, &dsu, &frozen, freeze, &mut best);
+        elect(&worklist, &frozen, freeze, &mut best);
 
         // --- Contraction / freezing -------------------------------------
         // Recheck policy re-derives freezes every round.
@@ -139,8 +152,8 @@ pub fn local_boruvka(
         // Winner slots are visited in root-index order (not election order):
         // the elected edges form a forest, so any visit order unions the
         // same edge set — the fixed order keeps the kernel deterministic.
-        for slot in best.iter_mut() {
-            let key = std::mem::replace(slot, NONE_KEY);
+        for &r in &roots {
+            let key = std::mem::replace(&mut best[r as usize], NONE_KEY);
             if key == NONE_KEY {
                 continue;
             }
@@ -148,28 +161,26 @@ pub fn local_boruvka(
             let win = worklist[row_of(key) as usize];
             // Re-resolve the endpoints: earlier unions this round may have
             // merged them further.
-            let ra = win.a.map(|i| dsu.find(i));
-            let rb = win.b.map(|i| dsu.find(i));
-            match (ra, rb) {
-                (Some(x), Some(y)) => {
+            match (win.a, win.b) {
+                (GHOST, GHOST) => unreachable!("edge with no resident endpoint elected"),
+                // Winner is a cut edge: freeze the resident side.
+                (x, GHOST) | (GHOST, x) => {
+                    frozen[dsu.find(x) as usize] = true;
+                }
+                (a, b) => {
+                    let (x, y) = (dsu.find(a), dsu.find(b));
                     if x != y && dsu.union(x, y) {
                         msf_edges.push(win.orig);
                         unions += 1;
                         // Sticky: a merge involving a frozen side freezes
                         // the result.
-                        let root = dsu.find(x);
                         if freeze == FreezePolicy::Sticky
                             && (frozen[x as usize] || frozen[y as usize])
                         {
-                            frozen[root as usize] = true;
+                            frozen[x.min(y) as usize] = true;
                         }
                     }
                 }
-                // Winner is a cut edge: freeze the resident side.
-                (Some(x), None) | (None, Some(x)) => {
-                    frozen[dsu.find(x) as usize] = true;
-                }
-                (None, None) => unreachable!("edge with no resident endpoint elected"),
             }
         }
 
@@ -182,12 +193,18 @@ pub fn local_boruvka(
         if unions == 0 {
             break;
         }
-        // Data-driven shrink: drop edges that became internal self edges.
-        worklist.retain(|e| {
-            let ra = e.a.map(|i| dsu.find(i));
-            let rb = e.b.map(|i| dsu.find(i));
-            !matches!((ra, rb), (Some(x), Some(y)) if x == y)
+        // Data-driven shrink: move both ends to their new roots and drop
+        // rows that became internal self edges.
+        worklist.retain_mut(|e| {
+            if e.a != GHOST {
+                e.a = dsu.find(e.a);
+            }
+            if e.b != GHOST {
+                e.b = dsu.find(e.b);
+            }
+            e.a != e.b || e.a == GHOST
         });
+        roots.retain(|&r| dsu.is_root(r));
         // Diminishing-benefit early stop (§4.3.2): compare iteration costs.
         if let Some(prev) = prev_cost {
             if !stop.should_continue(prev, scanned) {
@@ -200,29 +217,27 @@ pub fn local_boruvka(
     // --- Commit the contraction to the holding ---------------------------
     // New id of a resident component = smallest member id = resident[root].
     dsu.compress_all();
-    let mut relabel = Vec::new();
-    let mut new_resident = Vec::with_capacity(n);
-    let mut new_frozen = Vec::new();
-    for i in 0..n as u32 {
-        let root = dsu.find_const(i);
-        let new_id = resident[root as usize];
-        if root == i {
-            new_resident.push(new_id);
-            if frozen[i as usize] {
-                new_frozen.push(new_id);
-            }
-        }
-        if new_id != resident[i as usize] {
-            relabel.push((resident[i as usize], new_id));
-        }
-    }
-    cg.relabel(|c| match slots.get(c) {
-        Some(i) => resident[dsu.find_const(i) as usize],
-        None => c,
-    });
-    cg.remove_self_edges();
-    cg.set_resident(new_resident);
-    cg.set_frozen(new_frozen);
+    let new_id: Vec<CompId> = dsu.parent.iter().map(|&r| resident[r as usize]).collect();
+    let relabel: Vec<(CompId, CompId)> = resident
+        .iter()
+        .zip(&new_id)
+        .filter(|(old, new)| old != new)
+        .map(|(&old, &new)| (old, new))
+        .collect();
+    let new_resident = roots.iter().map(|&r| resident[r as usize]).collect();
+    let new_frozen = roots
+        .iter()
+        .filter(|&&r| frozen[r as usize])
+        .map(|&r| resident[r as usize])
+        .collect();
+    cg.contract(
+        |c| match slots.get(c) {
+            Some(i) => new_id[i as usize],
+            None => c,
+        },
+        new_resident,
+        new_frozen,
+    );
 
     LocalOutput {
         msf_edges,
@@ -260,27 +275,17 @@ pub fn local_boruvka_with(
 /// One round's min-edge election: leaves in `best[r]` the packed key of
 /// root `r`'s lightest candidate row under `((w, u, v), row)`, or
 /// [`NONE_KEY`] when it has none. `best` must come in all [`NONE_KEY`].
-/// Reads the union-find through [`MinDsu::find_const`] — callers compress
-/// fully first.
-fn elect(
-    rows: &[CEdgeLocal],
-    dsu: &MinDsu,
-    frozen: &[bool],
-    freeze: FreezePolicy,
-    best: &mut [u64],
-) {
+/// Rows carry their endpoints' current roots, so no union-find is read.
+fn elect(rows: &[CEdgeLocal], frozen: &[bool], freeze: FreezePolicy, best: &mut [u64]) {
     let orig_of = |row: u32| rows[row as usize].orig;
+    let sticky = freeze == FreezePolicy::Sticky;
     for (row, e) in rows.iter().enumerate() {
-        let ra = e.a.map(|i| dsu.find_const(i));
-        let rb = e.b.map(|i| dsu.find_const(i));
-        if let (Some(x), Some(y)) = (ra, rb) {
-            if x == y {
-                continue; // self edge at current contraction
-            }
+        if e.a == e.b {
+            continue; // self edge at current contraction (or ghost-to-ghost)
         }
         let key = pack(e.orig.w, row as u32);
-        for r in [ra, rb].into_iter().flatten() {
-            if frozen[r as usize] && freeze == FreezePolicy::Sticky {
+        for r in [e.a, e.b] {
+            if r == GHOST || (sticky && frozen[r as usize]) {
                 continue;
             }
             let slot = &mut best[r as usize];
@@ -318,15 +323,11 @@ impl MinDsu {
         }
     }
 
-    fn find_const(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
+    fn is_root(&self, x: u32) -> bool {
+        self.parent[x as usize] == x
     }
 
-    /// Fully path-compresses: afterwards `parent[x]` is `x`'s root, so
-    /// [`MinDsu::find_const`] resolves in one hop from shared references.
+    /// Fully path-compresses: afterwards `parent[x]` is `x`'s root.
     fn compress_all(&mut self) {
         for i in 0..self.parent.len() as u32 {
             let r = self.find(i);
@@ -346,12 +347,15 @@ impl MinDsu {
     }
 }
 
-/// Local-index edge used by the kernel's worklist (`None` = non-resident
-/// endpoint).
+/// Root slot of a non-resident (ghost) endpoint in a worklist row.
+const GHOST: u32 = u32::MAX;
+
+/// Worklist row: each endpoint's current root slot ([`GHOST`] for a
+/// non-resident endpoint) and the original edge.
 #[derive(Clone, Copy, Debug)]
 struct CEdgeLocal {
-    a: Option<u32>,
-    b: Option<u32>,
+    a: u32,
+    b: u32,
     orig: WEdge,
 }
 

@@ -359,6 +359,35 @@ impl CGraph {
         remap_ids(&mut self.frozen, &map);
     }
 
+    /// Commits a contraction: renames every edge endpoint through `map`
+    /// (canonical `a <= b` kept), drops the rows that became self edges in
+    /// the same pass, storage order preserved, and installs the new sorted
+    /// `resident` and `frozen` columns. Equivalent to [`CGraph::relabel`]
+    /// then [`CGraph::remove_self_edges`], [`CGraph::set_resident`] and
+    /// [`CGraph::set_frozen`], without re-sorting columns it replaces.
+    pub(crate) fn contract(
+        &mut self,
+        map: impl Fn(CompId) -> CompId,
+        resident: Vec<CompId>,
+        frozen: Vec<CompId>,
+    ) {
+        debug_assert!(resident.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(frozen.windows(2).all(|w| w[0] < w[1]));
+        let mut w = 0usize;
+        for i in 0..self.ea.len() {
+            let (a, b) = (map(self.ea[i]), map(self.eb[i]));
+            if a != b {
+                self.ea[w] = a.min(b);
+                self.eb[w] = a.max(b);
+                self.eorig[w] = self.eorig[i];
+                w += 1;
+            }
+        }
+        self.truncate_rows(w);
+        self.resident = resident;
+        self.frozen = frozen;
+    }
+
     /// Renames *ghost* endpoints: every non-resident endpoint `c` with
     /// `rename(c) == Some(new)` becomes `new`; resident endpoints stay as
     /// they are, so the resident column is untouched. Equivalent to

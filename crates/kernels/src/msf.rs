@@ -28,7 +28,7 @@ impl MsfResult {
     /// Builds a result from edges, computing weight and the component count
     /// implied for a graph on `num_vertices` vertices.
     pub fn from_edges(num_vertices: VertexId, mut edges: Vec<WEdge>) -> Self {
-        edges.sort_unstable();
+        sort_edges(&mut edges);
         let weight = total_weight(&edges);
         // components = V - forest edges (each forest edge reduces count by 1).
         let num_components = num_vertices as usize - edges.len();
@@ -38,6 +38,56 @@ impl MsfResult {
             num_components,
         }
     }
+}
+
+/// Below this many edges [`sort_edges`] is a comparison sort: the radix
+/// sort's six 2^16-entry histograms would cost more than they save.
+const RADIX_MIN_EDGES: usize = 1 << 13;
+
+/// Sorts edges into the workspace order `(w, u, v)`: a comparison sort for
+/// small inputs, else an LSD radix sort over the key's six 16-bit digits
+/// (`v` low half first, `w` high half last). All six histograms come from
+/// one pass, and a digit every edge shares is skipped, so narrow weights
+/// and small vertex ids cost fewer scatter passes. Equal keys are equal
+/// edges, so the order is the same as `sort_unstable`'s.
+fn sort_edges(edges: &mut Vec<WEdge>) {
+    if edges.len() < RADIX_MIN_EDGES {
+        edges.sort_unstable();
+        return;
+    }
+    const DIGITS: usize = 6;
+    let digit = |e: &WEdge, d: usize| -> usize {
+        let word = [e.v, e.u, e.w][d / 2];
+        (word >> (16 * (d % 2)) & 0xffff) as usize
+    };
+    let mut counts = vec![0u32; DIGITS << 16];
+    for e in edges.iter() {
+        for d in 0..DIGITS {
+            counts[(d << 16) + digit(e, d)] += 1;
+        }
+    }
+    let n = edges.len() as u32;
+    let mut dst = edges.clone();
+    let mut src = std::mem::take(edges);
+    for d in 0..DIGITS {
+        let hist = &mut counts[d << 16..(d + 1) << 16];
+        if hist[digit(&src[0], d)] == n {
+            continue; // every edge shares this digit
+        }
+        let mut at = 0u32;
+        for c in hist.iter_mut() {
+            let here = *c;
+            *c = at;
+            at += here;
+        }
+        for e in &src {
+            let slot = &mut hist[digit(e, d)];
+            dst[*slot as usize] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    *edges = src;
 }
 
 /// Errors [`verify_msf`] can report.
@@ -121,7 +171,41 @@ pub fn verify_msf(input: &EdgeList, candidate: &MsfResult) -> Result<(), MsfErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnd_graph::edgelist::splitmix64;
     use mnd_graph::gen;
+
+    #[test]
+    fn radix_sort_equals_sort_unstable() {
+        // Masks pick which key bits vary: every digit live; `u` and `v`
+        // only in their high halves (their low digits are skipped); four
+        // distinct weights (heavy ties broken by `u` then `v`); and the top
+        // of the id and weight ranges.
+        let masks: [(u32, u32, u32); 4] = [
+            (u32::MAX, u32::MAX, u32::MAX),
+            (0xffff_0000, 0xffff_0000, u32::MAX),
+            (0x0000_ffff, 0x00ff_00ff, 0x3),
+            (0x8000_00ff, 0xc000_0000, 0x8000_0001),
+        ];
+        let mut s = 3u64;
+        for (i, &(mu, mv, mw)) in masks.iter().enumerate() {
+            for n in [0, 1, 100, RADIX_MIN_EDGES - 1, RADIX_MIN_EDGES, 50_000] {
+                let mut edges: Vec<WEdge> = (0..n)
+                    .map(|_| {
+                        s = splitmix64(s);
+                        let (a, b) = ((s as u32) & mu, ((s >> 32) as u32) & mv);
+                        s = splitmix64(s);
+                        WEdge::new(a, b, (s as u32) & mw)
+                    })
+                    .collect();
+                // Exact duplicates too: equal keys must stay adjacent.
+                edges.extend_from_within(..n / 10);
+                let mut expect = edges.clone();
+                expect.sort_unstable();
+                sort_edges(&mut edges);
+                assert_eq!(edges, expect, "mask set {i}, n {n}");
+            }
+        }
+    }
 
     #[test]
     fn oracle_verifies_itself() {

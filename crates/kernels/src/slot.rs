@@ -42,12 +42,21 @@ pub fn precedes(a: u64, b: u64, orig_of: &impl Fn(u32) -> WEdge) -> bool {
     (orig_of(ra), ra) < (orig_of(rb), rb)
 }
 
+/// The widest id range (`hi - lo + 1`) that [`SlotLookup`] densifies for
+/// `len` resident ids: 256 ids per resident id (at most 1 KiB of table
+/// each), and never less than 2^16 ids (256 KiB).
+#[inline]
+pub fn dense_span_cap(len: usize) -> usize {
+    len.saturating_mul(256).max(1 << 16)
+}
+
 /// Resident-slot lookup for every holding-plane residency probe. A binary
 /// search over `resident` costs ~17 branchy probes per endpoint at 10⁵
-/// components; holdings keep their resident ids nearly contiguous (level-0
-/// partitions are vertex ranges), so a direct-index table over the id range
-/// answers in O(1). Sparse id ranges fall back to the binary search, which
-/// bounds the table at 4× the resident count.
+/// components, so a direct-index table over the id range answers in O(1).
+/// Level-0 partitions are vertex ranges, but contraction leaves a few
+/// hundred roots spread over 10⁴–10⁵ ids, so the table is built up to a
+/// span of 256× the resident count ([`dense_span_cap`]). Sparser holdings
+/// fall back to the binary search.
 pub struct SlotLookup<'a> {
     resident: &'a [CompId],
     /// `(lowest id, table)`: `table[c - lowest]` is the slot of component
@@ -56,15 +65,13 @@ pub struct SlotLookup<'a> {
 }
 
 impl<'a> SlotLookup<'a> {
-    /// Builds the lookup over a sorted resident column. Densifies when the
-    /// id range is within 4× of the resident count (with a floor so tiny
-    /// holdings always densify); beyond that the table would thrash cache
-    /// for no probe savings.
+    /// Builds the lookup over a sorted resident column, densified when the
+    /// id range is at most [`dense_span_cap`] ids.
     pub fn new(resident: &'a [CompId]) -> Self {
         let dense = match (resident.first(), resident.last()) {
             (Some(&lo), Some(&hi)) => {
                 let range = (hi - lo) as usize + 1;
-                if range <= resident.len().saturating_mul(4).max(1024) {
+                if range <= dense_span_cap(resident.len()) {
                     let mut table = vec![u32::MAX; range];
                     for (slot, &c) in resident.iter().enumerate() {
                         table[(c - lo) as usize] = slot as u32;
@@ -148,5 +155,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Probes every resident id, the ids just outside the range and a few
+    /// in between against the binary search.
+    fn assert_matches_binary_search(resident: &[CompId]) {
+        let lk = SlotLookup::new(resident);
+        let (lo, hi) = (resident[0], resident[resident.len() - 1]);
+        let probes = resident.iter().copied().chain([
+            lo.wrapping_sub(1),
+            lo.wrapping_add(1),
+            hi.wrapping_sub(1),
+            hi.wrapping_add(1),
+            lo / 2 + hi / 2,
+            0,
+            u32::MAX,
+        ]);
+        for probe in probes {
+            assert_eq!(
+                lk.get(probe),
+                resident.binary_search(&probe).ok().map(|i| i as u32),
+                "probe {probe}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_is_built_up_to_the_span_cap_and_not_beyond() {
+        // 1000 ids: 256 per id; 100 ids: the 2^16 floor.
+        for (len, cap) in [(1000usize, 256_000usize), (100, 1 << 16)] {
+            assert_eq!(dense_span_cap(len), cap);
+            for (span, dense) in [(cap, true), (cap + 1, false)] {
+                // `len` ids from 7 to `7 + span - 1`, the rest evenly apart.
+                let mut resident: Vec<CompId> = (0..len as u32 - 1)
+                    .map(|i| 7 + i * (span as u32 / len as u32))
+                    .collect();
+                resident.push(7 + span as u32 - 1);
+                let lk = SlotLookup::new(&resident);
+                assert_eq!(lk.dense.is_some(), dense, "len {len} span {span}");
+                assert_matches_binary_search(&resident);
+            }
+        }
+    }
+
+    #[test]
+    fn ids_near_u32_max_resolve_in_both_tiers() {
+        let top = u32::MAX;
+        // Dense: a short run ending at the largest id.
+        assert!(SlotLookup::new(&[top - 3, top - 1, top]).dense.is_some());
+        assert_matches_binary_search(&[top - 3, top - 1, top]);
+        assert_matches_binary_search(&[top]);
+        // Sparse: the full id range, whose span does not fit in a `u32`.
+        let wide = [0, 1, top / 2, top - 1, top];
+        assert!(SlotLookup::new(&wide).dense.is_none());
+        assert_matches_binary_search(&wide);
     }
 }

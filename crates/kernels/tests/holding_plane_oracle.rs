@@ -15,7 +15,11 @@
 //!
 //! Fixtures cover the skewed (RMAT), uniform (ER) and high-diameter (road)
 //! families, an all-ties graph where every election is decided by the
-//! full-key fallback, and 4-way partitioned holdings with cut edges.
+//! full-key fallback, and 4-way partitioned holdings with cut edges. The
+//! Borůvka comparison also runs on holdings whose id span falls into each
+//! `SlotLookup` tier, with the diminishing-benefit stop on partitions, and
+//! as a second invocation on contracted, merged holdings that carry sticky
+//! freeze marks from the first.
 
 use mnd_graph::edgelist::splitmix64;
 use mnd_graph::partition::partition_1d;
@@ -27,6 +31,7 @@ use mnd_kernels::policy::{
     ExcpCond, FreezePolicy, IterWork, KernelPolicy, StopPolicy, WorkProfile,
 };
 use mnd_kernels::reduce::{apply_ghost_parents_with, reduce_holding_with, ReduceStats};
+use mnd_kernels::slot::dense_span_cap;
 
 fn fixtures() -> Vec<(&'static str, EdgeList)> {
     vec![
@@ -311,6 +316,162 @@ fn whole_graph_and_early_stop_match_oracle() {
     }
 }
 
+/// Runs the kernel and the reference on copies of `base` and asserts
+/// byte-identical outputs and holdings.
+fn assert_kernel_matches_reference(
+    base: &CGraph,
+    excp: ExcpCond,
+    freeze: FreezePolicy,
+    stop: StopPolicy,
+    tag: &str,
+) -> (CGraph, LocalOutput) {
+    let mut expect_cg = base.clone();
+    let expect = reference_local_boruvka(&mut expect_cg, excp, freeze, stop);
+    let mut got_cg = base.clone();
+    let got = local_boruvka_with(&mut got_cg, &KernelPolicy, excp, freeze, stop);
+    assert_same_output(&got, &expect, tag);
+    assert_eq!(got_cg, expect_cg, "{tag}");
+    (got_cg, got)
+}
+
+/// Which `SlotLookup` tier a resident column falls into: 0 when its id
+/// span is within 4× the resident count, 1 up to the dense-table cap,
+/// 2 beyond it (binary search).
+fn slot_tier(resident: &[CompId]) -> usize {
+    let span = (resident[resident.len() - 1] - resident[0]) as usize + 1;
+    if span <= 4 * resident.len() {
+        0
+    } else if span <= dense_span_cap(resident.len()) {
+        1
+    } else {
+        2
+    }
+}
+
+#[test]
+fn local_boruvka_matches_oracle_in_every_slot_lookup_tier() {
+    // Spreading every id by a stride keeps the holding's structure (the
+    // map is monotone, so min-member naming is unchanged) while moving
+    // its id span across the `SlotLookup` tiers.
+    let mut tiers_seen = [0usize; 3];
+    for (name, el) in fixtures() {
+        for stride in [1u32, 3, 100, 2000] {
+            for (part, mut base) in partitioned(&el).into_iter().enumerate() {
+                base.relabel(|c| c * stride + 7);
+                let tier = slot_tier(base.resident());
+                tiers_seen[tier] += 1;
+                for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                    for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
+                        let tag = format!(
+                            "{name} stride={stride} tier={tier} {excp:?}/{freeze:?} part={part}"
+                        );
+                        assert_kernel_matches_reference(
+                            &base,
+                            excp,
+                            freeze,
+                            StopPolicy::Exhaustive,
+                            &tag,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        tiers_seen.iter().all(|&n| n >= 4),
+        "holdings per tier: {tiers_seen:?}"
+    );
+}
+
+#[test]
+fn diminishing_benefit_on_partitions_matches_oracle() {
+    for (name, el) in fixtures() {
+        for min_improvement in [0.2, 0.5, 0.9] {
+            let stop = StopPolicy::DiminishingBenefit { min_improvement };
+            for excp in [ExcpCond::BorderEdge, ExcpCond::BorderVertex] {
+                for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
+                    for (part, base) in partitioned(&el).into_iter().enumerate() {
+                        let tag = format!("{name} {stop:?} {excp:?}/{freeze:?} part={part}");
+                        assert_kernel_matches_reference(&base, excp, freeze, stop, &tag);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn second_invocation_on_contracted_holdings_matches_oracle() {
+    // A computation step after the first: every part is contracted, the
+    // other parts' renames are applied to its ghost endpoints, it is
+    // reduced, and neighbouring parts are merged into one holding. The
+    // freeze marks of the first invocation ride along (sticky), and the
+    // second invocation must still match the reference byte for byte.
+    let mut carried_frozen = 0;
+    for (name, el) in fixtures() {
+        for first_stop in [
+            StopPolicy::Exhaustive,
+            StopPolicy::DiminishingBenefit {
+                min_improvement: 0.5,
+            },
+        ] {
+            let mut parts = Vec::new();
+            let mut renames = Vec::new();
+            for (part, base) in partitioned(&el).into_iter().enumerate() {
+                let tag = format!("{name} first {first_stop:?} part={part}");
+                let (cg, out) = assert_kernel_matches_reference(
+                    &base,
+                    ExcpCond::BorderEdge,
+                    FreezePolicy::Sticky,
+                    first_stop,
+                    &tag,
+                );
+                parts.push(cg);
+                renames.extend(out.relabel);
+            }
+            renames.sort_unstable();
+            for cg in &mut parts {
+                apply_ghost_parents_with(cg, &KernelPolicy, &renames);
+                reduce_holding_with(cg, &KernelPolicy);
+            }
+            let mut merged = Vec::new();
+            for pair in parts.chunks(2) {
+                let mut cg = pair[0].clone();
+                if let Some(other) = pair.get(1) {
+                    cg.absorb(other.clone());
+                }
+                reduce_holding_with(&mut cg, &KernelPolicy);
+                merged.push(cg);
+            }
+            for (i, cg) in parts.iter().chain(&merged).enumerate() {
+                carried_frozen += cg.frozen().len();
+                for freeze in [FreezePolicy::Sticky, FreezePolicy::Recheck] {
+                    for stop in [
+                        StopPolicy::Exhaustive,
+                        StopPolicy::DiminishingBenefit {
+                            min_improvement: 0.5,
+                        },
+                    ] {
+                        let tag =
+                            format!("{name} first {first_stop:?} holding={i} {freeze:?} {stop:?}");
+                        assert_kernel_matches_reference(
+                            cg,
+                            ExcpCond::BorderEdge,
+                            freeze,
+                            stop,
+                            &tag,
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        carried_frozen > 0,
+        "no freeze mark carried into a second invocation"
+    );
+}
+
 // ------------------------------------------------------------------ //
 // Ghost-parent application and reduction
 // ------------------------------------------------------------------ //
@@ -422,8 +583,7 @@ fn reference_counts(cg: &CGraph) -> Vec<u64> {
 }
 
 /// A holding whose resident ids are spread ~10⁴ apart, far beyond the
-/// 4×-resident span `SlotLookup` densifies, with ghost endpoints between
-/// them.
+/// span `SlotLookup` densifies, with ghost endpoints between them.
 fn sparse_id_holding() -> CGraph {
     let resident: Vec<CompId> = (0..300u32).map(|i| i * 10_007 + 3).collect();
     let mut rows = Vec::new();
